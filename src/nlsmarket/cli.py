@@ -461,6 +461,8 @@ def _cmd_price_call(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     config = load_config(args.config)
     try:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]

@@ -1,8 +1,22 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the config value check
+that raises one."""
+
+import dataclasses
+import math
 
 
 class ConfigError(ValueError):
     """Invalid grid, solver, or model configuration."""
+
+
+def reject_non_finite(config) -> None:
+    """Raise ConfigError naming the first float field of a dataclass that is
+    NaN or infinite. Range checks alone let NaN through, since every
+    comparison with NaN is False."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value}")
 
 
 class IntegrationError(RuntimeError):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -40,6 +41,13 @@ class Grid:
     def __post_init__(self):
         self.nodes.setflags(write=False)
 
+    @cached_property
+    def half_nodes_sq(self) -> np.ndarray:
+        """s_k**2 / 2 at every node, computed once per grid (read-only)."""
+        values = 0.5 * self.nodes**2
+        values.setflags(write=False)
+        return values
+
 
 def make_grid(s0: float, s1: float, n: int) -> Grid:
     """Build a uniform grid with spacing ds = (s1 - s0) / (n - 1).
@@ -66,7 +74,9 @@ def second_difference(field: np.ndarray, grid: Grid, policy: BoundaryPolicy) -> 
         raise ValueError(f"field length {field.shape} does not match grid n={grid.n}")
     inv_ds2 = 1.0 / grid.ds**2
     if policy is BoundaryPolicy.PERIODIC:
-        return (np.roll(field, -1) - 2.0 * field + np.roll(field, 1)) * inv_ds2
+        # one wrap-padded copy [f[-1], f..., f[0]] gives both neighbours as slices
+        padded = np.concatenate((field[-1:], field, field[:1]))
+        return (padded[2:] - 2.0 * field + padded[:-2]) * inv_ds2
     out = np.zeros(grid.n, dtype=np.result_type(field, np.float64))
     out[1:-1] = (field[2:] - 2.0 * field[1:-1] + field[:-2]) * inv_ds2
     if policy is BoundaryPolicy.ZERO_FLUX:

@@ -13,7 +13,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteError, StepBudgetError, StiffnessError
+from .errors import (
+    ConfigError,
+    NonFiniteError,
+    StepBudgetError,
+    StiffnessError,
+    reject_non_finite,
+)
 
 # Cash-Karp tableau: six stages, 5th-order weights plus embedded 4th-order
 # weights for the local error estimate.
@@ -43,7 +49,9 @@ class OdeSystem:
     """A first-order ODE system y' = rhs(t, y) of fixed dimension.
 
     ``rhs`` must be pure and deterministic and return a vector of the same
-    length as its input state.
+    length as its input state. It must neither keep nor mutate its state
+    argument: the stepper passes one stage buffer that it overwrites for
+    every stage.
     """
 
     dimension: int
@@ -66,6 +74,7 @@ class StepControl:
     max_steps: int = 10_000_000
 
     def __post_init__(self):
+        reject_non_finite(self)
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ConfigError("tolerances must be positive")
         if not 0 < self.h_min <= self.h_init:
@@ -109,10 +118,14 @@ def cash_karp_step(system: OdeSystem, t: float, y: np.ndarray, h: float):
     if y.shape != (system.dimension,):
         raise ValueError(f"state length {y.shape} does not match dimension {system.dimension}")
     k = np.empty((6, system.dimension))
+    yi = np.empty(system.dimension)  # stage state, rebuilt in place per stage
     with np.errstate(over="ignore", invalid="ignore"):
         k[0] = system.rhs(t, y)
         for i in range(1, 6):
-            yi = y + h * (STAGE_COEFFS[i] @ k[:i])
+            # y + h * (STAGE_COEFFS[i] @ k[:i]), bit for bit, without temporaries
+            np.matmul(STAGE_COEFFS[i], k[:i], out=yi)
+            yi *= h
+            yi += y
             k[i] = system.rhs(t + STAGE_TIMES[i] * h, yi)
         y5 = y + h * (WEIGHTS_5TH @ k)
         err = h * (ERROR_WEIGHTS @ k)

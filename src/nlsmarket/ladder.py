@@ -37,13 +37,16 @@ def potential_values(v: Potential, grid: Grid) -> np.ndarray:
 
 
 def pack_complex(field: np.ndarray) -> np.ndarray:
-    """Interleave a complex field into [Re f0, Im f0, Re f1, Im f1, ...]."""
-    return np.ascontiguousarray(field, dtype=np.complex128).view(np.float64).copy()
+    """Interleave a complex field into [Re f0, Im f0, Re f1, Im f1, ...].
+
+    The result is a fresh array that shares no memory with ``field``.
+    """
+    return np.array(field, dtype=np.complex128, order="C").view(np.float64)
 
 
 def unpack_complex(vec: np.ndarray) -> np.ndarray:
-    """Inverse of pack_complex."""
-    return np.ascontiguousarray(vec, dtype=np.float64).view(np.complex128).copy()
+    """Inverse of pack_complex; the result shares no memory with ``vec``."""
+    return np.array(vec, dtype=np.float64, order="C").view(np.complex128)
 
 
 def heat_rhs(field: np.ndarray, grid: Grid, policy: BoundaryPolicy) -> np.ndarray:

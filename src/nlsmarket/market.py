@@ -15,6 +15,7 @@ which keeps the end-node time derivatives identical for equal end values.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import time as _time
 from dataclasses import dataclass, field
@@ -22,7 +23,13 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, IntegrationError, NonFiniteError, StepBudgetError
+from .errors import (
+    ConfigError,
+    IntegrationError,
+    NonFiniteError,
+    StepBudgetError,
+    reject_non_finite,
+)
 from .grid import BoundaryPolicy, Grid, make_grid, second_difference
 from .integrator import OdeSystem, StepControl, StepStats, integrate_adaptive
 from .ladder import mass, pack_complex, unpack_complex
@@ -59,6 +66,7 @@ class ModelConfig:
     snapshot_stride: float = 1.0
 
     def __post_init__(self):
+        reject_non_finite(self)
         if self.r < 0:
             raise ConfigError(f"interest rate must be non-negative, got {self.r}")
         if self.c < 0:
@@ -131,29 +139,33 @@ def coupled_rhs(
 ) -> MarketState:
     """Assemble the full coupled derivative at time t.
 
-    Raises NonFiniteError naming the first offending node if the
-    derivative is not finite; the adaptive integrator treats that as a
+    Raises NonFiniteError naming the first offending block and node if
+    the derivative is not finite; the adaptive integrator treats that as a
     failed step and retries with a smaller one.
     """
     sigma, psi, w = state.sigma, state.psi, state.w
     g = gaussian_kernels(t, state, grid, params)
     v = potential(w, g)
-    s2 = grid.nodes**2
+    half_s2 = grid.half_nodes_sq
     abs_sigma2 = np.abs(sigma) ** 2
     abs_psi2 = np.abs(psi) ** 2
     with np.errstate(over="ignore", invalid="ignore"):
         lap_sigma = second_difference(sigma, grid, BoundaryPolicy.PERIODIC)
         lap_psi = second_difference(psi, grid, BoundaryPolicy.PERIODIC)
-        d_sigma = 1j * (0.5 * s2 * abs_psi2 * lap_sigma - v * abs_sigma2 * sigma)
-        d_psi = 1j * (0.5 * s2 * abs_sigma2 * lap_psi - abs_psi2 * psi - config.r * psi)
+        d_sigma = 1j * (half_s2 * abs_psi2 * lap_sigma - v * abs_sigma2 * sigma)
+        d_psi = 1j * (half_s2 * abs_sigma2 * lap_psi - abs_psi2 * psi - config.r * psi)
         d_w = hebbian_rhs(state, g, config.c)
-    for name, vec in (("sigma", d_sigma), ("psi", d_psi), ("w", d_w)):
-        finite = np.isfinite(vec)
-        if not finite.all():
-            node = int(np.argmin(finite))
-            raise NonFiniteError(
-                f"non-finite {name} derivative at node {node}, t={t}", t=t, node=node
-            )
+        # any NaN or inf entry makes the sum non-finite; a sum that merely
+        # overflowed finds no bad node below and passes
+        total_finite = cmath.isfinite(d_sigma.sum() + d_psi.sum() + d_w.sum())
+    if not total_finite:
+        for name, vec in (("sigma", d_sigma), ("psi", d_psi), ("w", d_w)):
+            finite = np.isfinite(vec)
+            if not finite.all():
+                node = int(np.argmin(finite))
+                raise NonFiniteError(
+                    f"non-finite {name} derivative at node {node}, t={t}", t=t, node=node
+                )
     return MarketState(sigma=d_sigma, psi=d_psi, w=d_w, t=t)
 
 

@@ -35,6 +35,15 @@ def dense_second_difference(n: int, ds: float, policy: BoundaryPolicy) -> np.nda
     return a / ds**2
 
 
+def roll_second_difference(field: np.ndarray, ds: float) -> np.ndarray:
+    """Periodic second difference from np.roll, in the stencil's operation order.
+
+    The library's periodic branch must reproduce this bit for bit.
+    """
+    inv_ds2 = 1.0 / ds**2
+    return (np.roll(field, -1) - 2.0 * field + np.roll(field, 1)) * inv_ds2
+
+
 def erf_series(x: float) -> float:
     """Maclaurin series for erf, summed to convergence (|x| small)."""
     terms = []

@@ -193,6 +193,33 @@ def test_sweep_runs_each_seed(tmp_path):
     assert main(["sweep", "--out", str(out), "--seeds", ""]) == 1
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("r", "nan"), ("c", "inf"), ("t_end", "nan"), ("t_end", "inf"),
+     ("abs_tol", "nan"), ("h_max", "nan"), ("snapshot_stride", "nan")],
+)
+def test_non_finite_config_value_is_config_error(key, value, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    out = tmp_path / "out"
+    assert main(["run-market", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_sweep_rejects_worker_count_below_one(workers, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("t_end = 1\n")
+    out = tmp_path / "sw"
+    rc = main(["sweep", "--config", str(cfg), "--out", str(out), "--seeds", "3",
+               "--workers", workers])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
 def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "nlsmarket.cli", "price-call", "--spot", "100",

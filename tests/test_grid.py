@@ -3,7 +3,7 @@ import pytest
 
 from nlsmarket import BoundaryPolicy, ConfigError, make_grid, second_difference
 
-from oracles import dense_second_difference
+from oracles import dense_second_difference, roll_second_difference
 
 ALL_POLICIES = list(BoundaryPolicy)
 
@@ -73,6 +73,18 @@ def test_matches_dense_matrix_oracle(policy, n):
     f = rng.normal(size=n) + 1j * rng.normal(size=n)
     dense = dense_second_difference(n, g.ds, policy)
     assert np.allclose(second_difference(f, g, policy), dense @ f, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("n", [3, 30, 401])
+def test_periodic_matches_roll_oracle_bit_for_bit(n, kind):
+    rng = np.random.default_rng(n)
+    g = make_grid(10.0, 20.0, n)
+    f = rng.normal(size=n)
+    if kind == "complex":
+        f = f + 1j * rng.normal(size=n)
+    out = second_difference(f, g, BoundaryPolicy.PERIODIC)
+    assert np.array_equal(out, roll_second_difference(f, g.ds))
 
 
 def test_periodic_row_sum_telescopes_to_zero():

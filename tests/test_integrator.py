@@ -3,14 +3,20 @@ import pytest
 
 from nlsmarket import (
     ConfigError,
+    ModelConfig,
     NonFiniteError,
     OdeSystem,
     StepBudgetError,
     StepControl,
     StiffnessError,
     cash_karp_step,
+    coupled_rhs,
+    init_state,
     integrate_adaptive,
+    make_grid,
 )
+from nlsmarket.integrator import ERROR_WEIGHTS, STAGE_COEFFS, STAGE_TIMES, WEIGHTS_5TH
+from nlsmarket.market import pack_state, unpack_state
 
 EXP = OdeSystem(1, lambda t, y: y)
 ROTATION = OdeSystem(2, lambda t, y: np.array([-y[1], y[0]]))
@@ -171,3 +177,32 @@ def test_control_validation():
         StepControl(abs_tol=1e-6, rel_tol=1e-6, safety=1.5)
     with pytest.raises(ConfigError):
         integrate_adaptive(EXP, 1.0, 0.0, np.array([1.0]), StepControl(abs_tol=1e-6, rel_tol=1e-6))
+
+
+def allocating_cash_karp_step(system, t, y, h):
+    """Reference step that allocates every stage state as y + h * (a_i . k)."""
+    k = np.empty((6, system.dimension))
+    k[0] = system.rhs(t, y)
+    for i in range(1, 6):
+        k[i] = system.rhs(t + STAGE_TIMES[i] * h, y + h * (STAGE_COEFFS[i] @ k[:i]))
+    return y + h * (WEIGHTS_5TH @ k), h * (ERROR_WEIGHTS @ k)
+
+
+@pytest.mark.parametrize("h", [1e-3, 0.05])
+def test_step_matches_allocating_oracle_bit_for_bit(h):
+    cfg = ModelConfig()
+    grid = make_grid(cfg.s0, cfg.s1, cfg.n)
+    state, params = init_state(cfg)
+
+    def rhs(t, y):
+        return pack_state(coupled_rhs(t, unpack_state(y, cfg.n, t), grid, params, cfg))
+
+    system = OdeSystem(5 * cfg.n, rhs)
+    y0 = pack_state(state)
+    # the initial fields are uniform; a perturbed state also exercises the stencil
+    rough = y0 + 1e-2 * np.random.default_rng(1).normal(size=y0.size)
+    for y in (y0, rough):
+        y5, err = cash_karp_step(system, 0.25, y, h)
+        ref_y5, ref_err = allocating_cash_karp_step(system, 0.25, y, h)
+        assert np.array_equal(y5, ref_y5)
+        assert np.array_equal(err, ref_err)

@@ -36,6 +36,21 @@ def test_pack_unpack_layout():
     assert np.array_equal(packed, [1.0, 2.0, -3.0, 0.5])
     assert np.array_equal(unpack_complex(packed), f)
 
+    # results never alias their inputs
+    packed[0] = 99.0
+    assert f[0] == 1.0 + 2.0j
+    vec = np.array([1.0, 2.0, -3.0, 0.5])
+    unpacked = unpack_complex(vec)
+    unpacked[0] = 7.0
+    assert np.array_equal(vec, [1.0, 2.0, -3.0, 0.5])
+
+    # non-contiguous input round-trips
+    g = np.arange(6) + 1j * np.arange(6, 12)
+    strided = g[::2]
+    assert np.array_equal(pack_complex(strided), [0.0, 6.0, 2.0, 8.0, 4.0, 10.0])
+    assert np.array_equal(unpack_complex(pack_complex(strided)), strided)
+    assert np.array_equal(unpack_complex(pack_complex(g)[::2]), [0 + 1j, 2 + 3j, 4 + 5j])
+
 
 def test_heat_rhs_trivial_cases():
     g = make_grid(0.0, 2.0, 3)  # ds = 1

@@ -306,6 +306,17 @@ def test_nonfinite_state_aborts_with_node_and_time():
     assert exc.value.t == 1.25
 
 
+def test_finite_derivative_whose_sum_overflows_is_returned():
+    # every dw_i = 1e308 is finite, but their sum overflows
+    cfg = small_config()
+    grid = make_grid(cfg.s0, cfg.s1, cfg.n)
+    params = KernelParams(m=np.full(cfg.n, -1.0))  # g_i = exp(-16) keeps V finite
+    st = state_of(np.zeros(cfg.n), np.zeros(cfg.n), np.full(cfg.n, -1e308))
+    d = coupled_rhs(np.pi / 120.0, st, grid, params, cfg)
+    assert np.all(d.w == 1e308)
+    assert np.all(d.sigma == 0.0) and np.all(d.psi == 0.0)
+
+
 def test_budget_failure_attaches_partial_record():
     cfg = small_config(
         t_end=5.0,
