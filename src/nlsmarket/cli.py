@@ -95,6 +95,10 @@ def parse_config_text(text: str) -> Dict[str, object]:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate config key {key!r}")
+        if key == "h_max" and val == "auto":
+            # config_pairs echoes an unset h_max as "auto"
+            values[key] = None
+            continue
         try:
             values[key] = int(val) if key in _INT_KEYS else float(val)
         except ValueError:

@@ -66,21 +66,23 @@ def make_grid(s0: float, s1: float, n: int) -> Grid:
 def second_difference(field: np.ndarray, grid: Grid, policy: BoundaryPolicy) -> np.ndarray:
     """Centered second difference (f[k+1] - 2 f[k] + f[k-1]) / ds**2.
 
-    Interior nodes always use the three-point stencil; the two end nodes
-    follow ``policy``. Works on real or complex fields.
+    Acts along the last axis, whose length must be grid.n, so a stack of
+    fields is differenced in one call. Interior nodes always use the
+    three-point stencil; the two end nodes follow ``policy``. Works on real
+    or complex fields.
     """
     field = np.asarray(field)
-    if field.shape != (grid.n,):
+    if field.shape[-1:] != (grid.n,):
         raise ValueError(f"field length {field.shape} does not match grid n={grid.n}")
     inv_ds2 = 1.0 / grid.ds**2
     if policy is BoundaryPolicy.PERIODIC:
         # one wrap-padded copy [f[-1], f..., f[0]] gives both neighbours as slices
-        padded = np.concatenate((field[-1:], field, field[:1]))
-        return (padded[2:] - 2.0 * field + padded[:-2]) * inv_ds2
-    out = np.zeros(grid.n, dtype=np.result_type(field, np.float64))
-    out[1:-1] = (field[2:] - 2.0 * field[1:-1] + field[:-2]) * inv_ds2
+        padded = np.concatenate((field[..., -1:], field, field[..., :1]), axis=-1)
+        return (padded[..., 2:] - 2.0 * field + padded[..., :-2]) * inv_ds2
+    out = np.zeros(field.shape, dtype=np.result_type(field, np.float64))
+    out[..., 1:-1] = (field[..., 2:] - 2.0 * field[..., 1:-1] + field[..., :-2]) * inv_ds2
     if policy is BoundaryPolicy.ZERO_FLUX:
         # ghost nodes mirror the first interior neighbour
-        out[0] = 2.0 * (field[1] - field[0]) * inv_ds2
-        out[-1] = 2.0 * (field[-2] - field[-1]) * inv_ds2
+        out[..., 0] = 2.0 * (field[..., 1] - field[..., 0]) * inv_ds2
+        out[..., -1] = 2.0 * (field[..., -2] - field[..., -1]) * inv_ds2
     return out

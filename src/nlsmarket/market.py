@@ -15,10 +15,11 @@ which keeps the end-node time derivatives identical for equal end values.
 
 from __future__ import annotations
 
-import cmath
 import dataclasses
+import math
 import time as _time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Tuple
 
 import numpy as np
@@ -42,6 +43,10 @@ PRNG_SPEC = (
 )
 
 DEFAULT_RATE = 0.05 / 360.0  # per day
+
+# Cap on snapshots x lines, the cells of each surface file: 1e7 cells is
+# about 1.7 GB of CSV over all market artifacts.
+MAX_OUTPUT_CELLS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -79,6 +84,14 @@ class ModelConfig:
             raise ConfigError(f"snapshot stride must be positive, got {self.snapshot_stride}")
         if not self.s1 > self.s0:
             raise ConfigError(f"price bounds must satisfy s1 > s0, got [{self.s0}, {self.s1}]")
+        # at most t_end / stride interior stops plus t = 0 and t_end; float
+        # arithmetic, so a ratio that overflows compares as inf
+        snapshots = self.t_end / self.snapshot_stride + 2.0
+        if snapshots * self.n > MAX_OUTPUT_CELLS:
+            raise ConfigError(
+                f"about {snapshots:.3g} snapshots of n={self.n} lines exceed the "
+                f"{MAX_OUTPUT_CELLS} output cell limit; raise snapshot_stride or lower t_end"
+            )
 
 
 @dataclass
@@ -97,23 +110,37 @@ class KernelParams:
 
     m: np.ndarray
 
+    @cached_property
+    def one_minus_m(self) -> np.ndarray:
+        """1 - m_i, computed once per run (read-only)."""
+        values = 1.0 - self.m
+        values.setflags(write=False)
+        return values
+
+
+def modulus_sq(z: np.ndarray) -> np.ndarray:
+    """|z|^2 as re^2 + im^2 along the last axis of a C-contiguous complex array."""
+    parts = z.view(np.float64)
+    sq = parts * parts
+    return sq[..., 0::2] + sq[..., 1::2]
+
 
 def target_signal(t: float) -> float:
     """Reference signal y = 2 sin(60 t)."""
     return 2.0 * np.sin(60.0 * t)
 
 
-def target_output(state: MarketState, grid: Grid) -> float:
-    """First moment of the volatility density: sum_k s_k |sigma_k|^2 ds."""
-    return float(np.sum(grid.nodes * np.abs(state.sigma) ** 2) * grid.ds)
+def target_output(sigma_sq: np.ndarray, grid: Grid) -> float:
+    """First moment of the volatility density |sigma_k|^2: sum_k s_k |sigma_k|^2 ds."""
+    return float((grid.nodes * sigma_sq).sum() * grid.ds)
 
 
 def gaussian_kernels(
-    t: float, state: MarketState, grid: Grid, params: KernelParams
+    t: float, sigma_sq: np.ndarray, grid: Grid, params: KernelParams
 ) -> np.ndarray:
     """g_i = exp(-(d (1 - m_i))^2) with d = target_output - target_signal."""
-    d = target_output(state, grid) - target_signal(t)
-    return np.exp(-((d * (1.0 - params.m)) ** 2))
+    d = target_output(sigma_sq, grid) - target_signal(t)
+    return np.exp(-((d * params.one_minus_m) ** 2))
 
 
 def potential(w: np.ndarray, g: np.ndarray) -> float:
@@ -125,48 +152,60 @@ def potential(w: np.ndarray, g: np.ndarray) -> float:
     return float(np.dot(w, g))
 
 
-def hebbian_rhs(state: MarketState, g: np.ndarray, c: float) -> np.ndarray:
+def hebbian_rhs(
+    w: np.ndarray, sigma: np.ndarray, psi: np.ndarray, g: np.ndarray, c: float
+) -> np.ndarray:
     """dw_i/dt = -w_i + c |sigma_i| g_i |psi_i| (per-line moduli)."""
-    return -state.w + c * np.abs(state.sigma) * g * np.abs(state.psi)
+    return -w + c * np.abs(sigma) * g * np.abs(psi)
 
 
 def coupled_rhs(
     t: float,
-    state: MarketState,
+    y: np.ndarray,
     grid: Grid,
     params: KernelParams,
     config: ModelConfig,
-) -> MarketState:
-    """Assemble the full coupled derivative at time t.
+) -> np.ndarray:
+    """Full coupled derivative at time t of the packed state y (see pack_state).
 
-    Raises NonFiniteError naming the first offending block and node if
-    the derivative is not finite; the adaptive integrator treats that as a
-    failed step and retries with a smaller one.
+    sigma and psi are read as the two rows of one complex (2, n) view of
+    y, so y is neither copied nor modified; the result is a fresh vector in
+    the same layout. Raises NonFiniteError naming the first offending block
+    and node if the derivative is not finite; the adaptive integrator
+    treats that as a failed step and retries with a smaller one.
     """
-    sigma, psi, w = state.sigma, state.psi, state.w
-    g = gaussian_kernels(t, state, grid, params)
+    n = grid.n
+    z = y[: 4 * n].view(np.complex128).reshape(2, n)
+    w = y[4 * n :]
+    z_sq = modulus_sq(z)
+    g = gaussian_kernels(t, z_sq[0], grid, params)
     v = potential(w, g)
-    half_s2 = grid.half_nodes_sq
-    abs_sigma2 = np.abs(sigma) ** 2
-    abs_psi2 = np.abs(psi) ** 2
+    out = np.empty(5 * n)
+    dz = out[: 4 * n].view(np.complex128).reshape(2, n)
     with np.errstate(over="ignore", invalid="ignore"):
-        lap_sigma = second_difference(sigma, grid, BoundaryPolicy.PERIODIC)
-        lap_psi = second_difference(psi, grid, BoundaryPolicy.PERIODIC)
-        d_sigma = 1j * (half_s2 * abs_psi2 * lap_sigma - v * abs_sigma2 * sigma)
-        d_psi = 1j * (half_s2 * abs_sigma2 * lap_psi - abs_psi2 * psi - config.r * psi)
-        d_w = hebbian_rhs(state, g, config.c)
+        # both lines at once: dz/dt = i [ (1/2) s^2 |other line|^2 Lap(z) - q z ]
+        # with the cubic coefficients q = (V |sigma|^2, |psi|^2 + r)
+        q = z_sq.copy()
+        q[0] *= v
+        q[1] += config.r
+        bracket = grid.half_nodes_sq * z_sq[::-1] * second_difference(
+            z, grid, BoundaryPolicy.PERIODIC
+        )
+        bracket -= q * z
+        np.multiply(bracket, 1j, out=dz)
+        out[4 * n :] = hebbian_rhs(w, z[0], z[1], g, config.c)
         # any NaN or inf entry makes the sum non-finite; a sum that merely
         # overflowed finds no bad node below and passes
-        total_finite = cmath.isfinite(d_sigma.sum() + d_psi.sum() + d_w.sum())
+        total_finite = math.isfinite(out.sum())
     if not total_finite:
-        for name, vec in (("sigma", d_sigma), ("psi", d_psi), ("w", d_w)):
+        for name, vec in (("sigma", dz[0]), ("psi", dz[1]), ("w", out[4 * n :])):
             finite = np.isfinite(vec)
             if not finite.all():
                 node = int(np.argmin(finite))
                 raise NonFiniteError(
                     f"non-finite {name} derivative at node {node}, t={t}", t=t, node=node
                 )
-    return MarketState(sigma=d_sigma, psi=d_psi, w=d_w, t=t)
+    return out
 
 
 def pack_state(state: MarketState) -> np.ndarray:
@@ -209,9 +248,7 @@ class SimulationRecord:
     psi: np.ndarray
     w: np.ndarray
     g: np.ndarray
-    v: np.ndarray
     mass_sigma: np.ndarray
-    mass_psi: np.ndarray
     stats: StepStats
     wall_seconds: float
     completed: bool
@@ -249,7 +286,7 @@ def run_simulation(config: ModelConfig) -> SimulationRecord:
     n = config.n
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return pack_state(coupled_rhs(t, unpack_state(y, n, t), grid, params, config))
+        return coupled_rhs(t, y, grid, params, config)
 
     system = OdeSystem(dimension=5 * n, rhs=rhs)
 
@@ -259,7 +296,6 @@ def run_simulation(config: ModelConfig) -> SimulationRecord:
     started = _time.perf_counter()
 
     def record_rows(completed: bool) -> SimulationRecord:
-        g_rows = [gaussian_kernels(s.t, s, grid, params) for s in rows]
         return SimulationRecord(
             config=config,
             params=params,
@@ -267,10 +303,8 @@ def run_simulation(config: ModelConfig) -> SimulationRecord:
             sigma=np.array([s.sigma for s in rows]),
             psi=np.array([s.psi for s in rows]),
             w=np.array([s.w for s in rows]),
-            g=np.array(g_rows),
-            v=np.array([potential(s.w, g) for s, g in zip(rows, g_rows)]),
+            g=np.array([gaussian_kernels(s.t, modulus_sq(s.sigma), grid, params) for s in rows]),
             mass_sigma=np.array([mass(s.sigma, grid) for s in rows]),
-            mass_psi=np.array([mass(s.psi, grid) for s in rows]),
             stats=stats,
             wall_seconds=_time.perf_counter() - started,
             completed=completed,

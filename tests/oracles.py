@@ -10,7 +10,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from nlsmarket.grid import BoundaryPolicy
+from nlsmarket.grid import BoundaryPolicy, second_difference
 
 
 def dense_second_difference(n: int, ds: float, policy: BoundaryPolicy) -> np.ndarray:
@@ -42,6 +42,28 @@ def roll_second_difference(field: np.ndarray, ds: float) -> np.ndarray:
     """
     inv_ds2 = 1.0 / ds**2
     return (np.roll(field, -1) - 2.0 * field + np.roll(field, 1)) * inv_ds2
+
+
+def coupled_rhs_oracle(t, sigma, psi, w, grid, m, r, c):
+    """The coupled market derivative assembled field by field.
+
+    Moduli come from np.abs(.)**2, each line gets its own stencil call,
+    and the kernels, potential and Hebbian rule are written out here, so
+    the library's flat right-hand side is checked against a second
+    assembly of the same equations. Returns (d_sigma, d_psi, d_w).
+    """
+    abs_sigma2 = np.abs(sigma) ** 2
+    abs_psi2 = np.abs(psi) ** 2
+    half_s2 = 0.5 * grid.nodes**2
+    d = np.sum(grid.nodes * abs_sigma2) * grid.ds - 2.0 * np.sin(60.0 * t)
+    g = np.exp(-((d * (1.0 - m)) ** 2))
+    v = np.sum(w * g)
+    lap_sigma = second_difference(sigma, grid, BoundaryPolicy.PERIODIC)
+    lap_psi = second_difference(psi, grid, BoundaryPolicy.PERIODIC)
+    d_sigma = 1j * (half_s2 * abs_psi2 * lap_sigma - v * abs_sigma2 * sigma)
+    d_psi = 1j * (half_s2 * abs_sigma2 * lap_psi - abs_psi2 * psi - r * psi)
+    d_w = -w + c * np.abs(sigma) * g * np.abs(psi)
+    return d_sigma, d_psi, d_w
 
 
 def erf_series(x: float) -> float:

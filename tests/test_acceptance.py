@@ -204,7 +204,7 @@ def test_09_randomized_invariant_suites():
             t=float(rng.uniform(0.0, 360.0)),
         )
         params = KernelParams(m=rng.uniform(-1.0, 1.0, 16))
-        g = gaussian_kernels(state.t, state, grid, params)
+        g = gaussian_kernels(state.t, np.abs(state.sigma) ** 2, grid, params)
         assert np.all(g > 0.0) and np.all(g <= 1.0)
 
     # no-arbitrage bounds

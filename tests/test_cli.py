@@ -2,14 +2,16 @@ import hashlib
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
-from nlsmarket import ConfigError
+from nlsmarket import ConfigError, ModelConfig, StepControl
 from nlsmarket.cli import (
     MARKET_FILES,
     config_from_values,
+    config_pairs,
     load_config,
     main,
     parse_config_text,
@@ -40,6 +42,29 @@ def test_parse_config_text():
         parse_config_text("n = 5\nn = 6\n")
     with pytest.raises(ConfigError):
         parse_config_text("just words\n")
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [ModelConfig(),
+     ModelConfig(n=12, seed=7, snapshot_stride=0.25,
+                 control=StepControl(abs_tol=1e-8, rel_tol=1e-7, h_max=0.05))],
+    ids=["default", "explicit-h_max"],
+)
+def test_config_echo_parses_back_to_the_same_config(cfg):
+    echo = "".join(f"{key} = {value}\n" for key, value in config_pairs(cfg))
+    assert config_from_values(parse_config_text(echo)) == cfg
+
+
+def test_absurd_horizon_fails_fast(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("t_end = 1e12\nsnapshot_stride = 1\n")
+    out = tmp_path / "out"
+    started = time.perf_counter()
+    assert main(["run-market", "--config", str(cfg), "--out", str(out)]) == 1
+    assert time.perf_counter() - started < 1.0
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
 
 
 def test_load_config_missing_file():

@@ -87,6 +87,25 @@ def test_periodic_matches_roll_oracle_bit_for_bit(n, kind):
     assert np.array_equal(out, roll_second_difference(f, g.ds))
 
 
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("policy", ALL_POLICIES, ids=[p.value for p in ALL_POLICIES])
+def test_stacked_block_matches_row_by_row_bit_for_bit(policy, kind):
+    rng = np.random.default_rng(29)
+    n = 30
+    g = make_grid(10.0, 20.0, n)
+    block = rng.normal(size=(2, n))
+    if kind == "complex":
+        block = block + 1j * rng.normal(size=(2, n))
+    out = second_difference(block, g, policy)
+    assert out.shape == (2, n)
+    for row in range(2):
+        assert np.array_equal(out[row], second_difference(block[row], g, policy))
+    with pytest.raises(ValueError):
+        second_difference(np.zeros((2, n - 1)), g, policy)
+    with pytest.raises(ValueError):
+        second_difference(np.zeros((n, 2)), g, policy)
+
+
 def test_periodic_row_sum_telescopes_to_zero():
     rng = np.random.default_rng(7)
     for n in (3, 8, 33, 100):

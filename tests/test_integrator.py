@@ -16,7 +16,7 @@ from nlsmarket import (
     make_grid,
 )
 from nlsmarket.integrator import ERROR_WEIGHTS, STAGE_COEFFS, STAGE_TIMES, WEIGHTS_5TH
-from nlsmarket.market import pack_state, unpack_state
+from nlsmarket.market import pack_state
 
 EXP = OdeSystem(1, lambda t, y: y)
 ROTATION = OdeSystem(2, lambda t, y: np.array([-y[1], y[0]]))
@@ -195,7 +195,7 @@ def test_step_matches_allocating_oracle_bit_for_bit(h):
     state, params = init_state(cfg)
 
     def rhs(t, y):
-        return pack_state(coupled_rhs(t, unpack_state(y, cfg.n, t), grid, params, cfg))
+        return coupled_rhs(t, y, grid, params, cfg)
 
     system = OdeSystem(5 * cfg.n, rhs)
     y0 = pack_state(state)

@@ -21,9 +21,9 @@ from nlsmarket import (
     target_output,
     target_signal,
 )
-from nlsmarket.market import pack_state, unpack_state
+from nlsmarket.market import modulus_sq, pack_state, unpack_state
 
-from oracles import dense_second_difference
+from oracles import coupled_rhs_oracle, dense_second_difference
 
 
 def small_config(**kw):
@@ -41,6 +41,15 @@ def state_of(sigma, psi, w, t=0.0):
     )
 
 
+def rhs_of(t, state, grid, params, cfg):
+    """The flat coupled_rhs on a packed MarketState, unpacked again."""
+    return unpack_state(coupled_rhs(t, pack_state(state), grid, params, cfg), cfg.n, t)
+
+
+def density(state):
+    return np.abs(state.sigma) ** 2
+
+
 def test_target_signal_values():
     assert target_signal(0.0) == 0.0
     assert target_signal(np.pi / 120.0) == pytest.approx(2.0, rel=1e-15)
@@ -50,18 +59,18 @@ def test_target_signal_values():
 def test_target_output_examples():
     grid = make_grid(10.0, 20.0, 30)
     zero = state_of(np.zeros(30), np.ones(30), np.zeros(30))
-    assert target_output(zero, grid) == 0.0
+    assert target_output(density(zero), grid) == 0.0
 
     flat = state_of(np.full(30, 0.25), np.ones(30), np.zeros(30))
     # independent direct summation
     expected = sum(0.25**2 * s for s in grid.nodes) * grid.ds
     assert expected == pytest.approx(9.698275862068966, rel=1e-12)
-    assert target_output(flat, grid) == pytest.approx(expected, rel=1e-13)
+    assert target_output(density(flat), grid) == pytest.approx(expected, rel=1e-13)
 
     lone = np.zeros(30)
     lone[4] = 1.0
     single = state_of(lone, np.ones(30), np.zeros(30))
-    assert target_output(single, grid) == pytest.approx(grid.nodes[4] * grid.ds, rel=1e-13)
+    assert target_output(density(single), grid) == pytest.approx(grid.nodes[4] * grid.ds, rel=1e-13)
 
 
 def test_gaussian_kernel_examples():
@@ -70,7 +79,7 @@ def test_gaussian_kernel_examples():
 
     # sigma = 0 at t = 0 gives d = 0, so every kernel is exactly one
     zero = state_of(np.zeros(5), np.ones(5), np.zeros(5))
-    assert np.all(gaussian_kernels(0.0, zero, grid, params) == 1.0)
+    assert np.all(gaussian_kernels(0.0, density(zero), grid, params) == 1.0)
 
     # build d = 1 by putting all the density on one node
     j = 2
@@ -78,8 +87,8 @@ def test_gaussian_kernel_examples():
     sigma = np.zeros(5)
     sigma[j] = amp
     one = state_of(sigma, np.ones(5), np.zeros(5))
-    assert target_output(one, grid) == pytest.approx(1.0, rel=1e-12)
-    g = gaussian_kernels(0.0, one, grid, params)
+    assert target_output(density(one), grid) == pytest.approx(1.0, rel=1e-12)
+    g = gaussian_kernels(0.0, density(one), grid, params)
     assert g[0] == pytest.approx(np.exp(-1.0), rel=1e-12)  # m = 0
     assert g[2] == pytest.approx(1.0, rel=1e-14)  # m = 1 kills the exponent
     assert np.all((g > 0.0) & (g <= 1.0))
@@ -102,15 +111,15 @@ def test_hebbian_examples():
     st = state_of(np.full(3, 0.3), np.full(3, 1.2), w)
     g = np.array([0.9, 0.8, 0.7])
 
-    assert np.array_equal(hebbian_rhs(st, g, 0.0), -w)
+    assert np.array_equal(hebbian_rhs(st.w, st.sigma, st.psi, g, 0.0), -w)
 
     st0 = state_of(np.full(3, 0.3), np.full(3, 1.2), np.zeros(3))
-    assert np.all(hebbian_rhs(st0, g, 2.0) > 0.0)
+    assert np.all(hebbian_rhs(st0.w, st0.sigma, st0.psi, g, 2.0) > 0.0)
 
     c = 1.7
     fixed = c * 0.3 * g * 1.2
     st_fix = state_of(np.full(3, 0.3), np.full(3, 1.2), fixed)
-    assert np.allclose(hebbian_rhs(st_fix, g, c), 0.0, atol=1e-15)
+    assert np.allclose(hebbian_rhs(st_fix.w, st_fix.sigma, st_fix.psi, g, c), 0.0, atol=1e-15)
 
 
 def test_coupled_rhs_fixed_point():
@@ -118,7 +127,7 @@ def test_coupled_rhs_fixed_point():
     grid = make_grid(cfg.s0, cfg.s1, cfg.n)
     params = KernelParams(m=np.zeros(cfg.n))
     st = state_of(np.zeros(cfg.n), np.zeros(cfg.n), np.zeros(cfg.n))
-    d = coupled_rhs(0.3, st, grid, params, cfg)
+    d = rhs_of(0.3, st, grid, params, cfg)
     assert np.all(d.sigma == 0.0)
     assert np.all(d.psi == 0.0)
     assert np.all(d.w == 0.0)
@@ -131,7 +140,7 @@ def test_coupled_rhs_modulus_preserving_when_psi_zero():
     params = KernelParams(m=rng.uniform(-1, 1, cfg.n))
     sigma = rng.normal(size=cfg.n) + 1j * rng.normal(size=cfg.n)
     st = state_of(sigma, np.zeros(cfg.n), rng.normal(size=cfg.n))
-    d = coupled_rhs(0.1, st, grid, params, cfg)
+    d = rhs_of(0.1, st, grid, params, cfg)
     # phase rotation only: d|sigma|^2/dt = 2 Re(conj(sigma) dsigma) = 0
     assert np.allclose((np.conj(sigma) * d.sigma).real, 0.0, atol=1e-12)
 
@@ -141,7 +150,7 @@ def test_coupled_rhs_matches_single_node_oracle_at_start_values():
     grid = make_grid(cfg.s0, cfg.s1, cfg.n)
     state, params = init_state(cfg)
     t = 0.0
-    d = coupled_rhs(t, state, grid, params, cfg)
+    d = rhs_of(t, state, grid, params, cfg)
 
     # hand-assembled: spatially constant fields kill both diffusion terms
     d_oracle = sum(grid.nodes[k] * 0.25**2 * grid.ds for k in range(cfg.n)) - 2.0 * np.sin(
@@ -158,11 +167,50 @@ def test_coupled_rhs_matches_single_node_oracle_at_start_values():
     assert np.allclose((np.conj(state.psi) * d.psi).real, 0.0, atol=1e-14)
 
 
+@pytest.mark.parametrize("n", [3, 8, 30])
+def test_flat_rhs_matches_field_by_field_oracle(n):
+    cfg = small_config(n=n, r=0.01, c=1.3)
+    grid = make_grid(cfg.s0, cfg.s1, n)
+    rng = np.random.default_rng(n)
+    params = KernelParams(m=rng.uniform(-1, 1, n))
+    for t in (0.0, 0.0123, 1.7, 359.9):
+        # amplitudes near the model's operating point keep the kernels off underflow
+        sigma = 0.1 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+        w = rng.uniform(-1, 1, n)
+        d = rhs_of(t, state_of(sigma, psi, w, t), grid, params, cfg)
+        d_sigma, d_psi, d_w = coupled_rhs_oracle(t, sigma, psi, w, grid, params.m, cfg.r, cfg.c)
+        assert np.allclose(d.sigma, d_sigma, rtol=1e-13, atol=0)
+        assert np.allclose(d.psi, d_psi, rtol=1e-13, atol=0)
+        assert np.allclose(d.w, d_w, rtol=1e-13, atol=0)
+
+
+def test_flat_rhs_neither_mutates_nor_aliases_its_state():
+    cfg = small_config(n=8)
+    grid = make_grid(cfg.s0, cfg.s1, cfg.n)
+    rng = np.random.default_rng(5)
+    params = KernelParams(m=rng.uniform(-1, 1, cfg.n))
+    y = rng.normal(size=5 * cfg.n)
+    before = y.copy()
+    y.setflags(write=False)  # any write into the state raises
+    out = coupled_rhs(0.4, y, grid, params, cfg)
+    assert np.array_equal(y, before)
+    assert out.shape == y.shape
+    assert not np.shares_memory(out, y)
+
+
+def test_modulus_sq_is_re2_plus_im2():
+    z = np.array([[3.0 + 4.0j, -1.5 + 0.0j], [0.0 - 2.0j, 1e-3 + 1e3j]])
+    assert np.array_equal(modulus_sq(z), z.real**2 + z.imag**2)
+    assert np.array_equal(modulus_sq(z[1]), [4.0, 1e-6 + 1e6])
+    assert np.allclose(modulus_sq(z), np.abs(z) ** 2, rtol=1e-15)
+
+
 def test_endpoint_derivatives_agree_under_wrap():
     cfg = small_config(n=12)
     grid = make_grid(cfg.s0, cfg.s1, cfg.n)
     state, params = init_state(cfg)
-    d = coupled_rhs(0.0, state, grid, params, cfg)
+    d = rhs_of(0.0, state, grid, params, cfg)
     # spatially constant state: the repeatable-BC residual is exactly zero
     assert d.sigma[0] == d.sigma[-1]
     assert d.psi[0] == d.psi[-1]
@@ -228,6 +276,20 @@ def test_config_validation():
         ModelConfig(t_end=-1.0)
     with pytest.raises(ConfigError):
         ModelConfig(snapshot_stride=0.0)
+
+
+def test_output_size_is_bounded_before_integrating():
+    # the default run and a dense 0.05-day stride stay far below the cap
+    ModelConfig()
+    ModelConfig(t_end=10.0, snapshot_stride=0.05)
+    with pytest.raises(ConfigError, match="output cell limit"):
+        ModelConfig(t_end=1e12, snapshot_stride=1.0)
+    with pytest.raises(ConfigError, match="output cell limit"):
+        ModelConfig(t_end=1e308, snapshot_stride=1e-300)  # the ratio overflows to inf
+    # the count scales with the number of lines
+    ModelConfig(n=3, t_end=1e6, snapshot_stride=1.0)
+    with pytest.raises(ConfigError):
+        ModelConfig(n=30, t_end=1e6, snapshot_stride=1.0)
 
 
 def test_zero_horizon_records_only_the_initial_snapshot():
@@ -301,7 +363,7 @@ def test_nonfinite_state_aborts_with_node_and_time():
     sigma[3] = np.inf
     st = state_of(sigma, np.ones(cfg.n), np.zeros(cfg.n))
     with pytest.raises(NonFiniteError) as exc:
-        coupled_rhs(1.25, st, grid, params, cfg)
+        rhs_of(1.25, st, grid, params, cfg)
     assert exc.value.node is not None
     assert exc.value.t == 1.25
 
@@ -312,7 +374,7 @@ def test_finite_derivative_whose_sum_overflows_is_returned():
     grid = make_grid(cfg.s0, cfg.s1, cfg.n)
     params = KernelParams(m=np.full(cfg.n, -1.0))  # g_i = exp(-16) keeps V finite
     st = state_of(np.zeros(cfg.n), np.zeros(cfg.n), np.full(cfg.n, -1e308))
-    d = coupled_rhs(np.pi / 120.0, st, grid, params, cfg)
+    d = rhs_of(np.pi / 120.0, st, grid, params, cfg)
     assert np.all(d.w == 1e308)
     assert np.all(d.sigma == 0.0) and np.all(d.psi == 0.0)
 
