@@ -15,8 +15,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import os
 import sys
 import time
+import uuid
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -169,71 +171,95 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def write_table(path: Path, schema: str, header: Sequence[str], rows, comments=()) -> None:
+class OutputSet:
+    """Files of one directory that appear together or not at all.
+
+    ``write`` stages each file under a hidden temporary name in the target
+    directory. Leaving the ``with`` block normally moves every staged file
+    into place with os.replace, in the order written; leaving it by an
+    exception deletes them, so the directory keeps what it held before.
+    """
+
+    def __init__(self, outdir: Path):
+        self.outdir = Path(outdir)
+        self.outdir.mkdir(parents=True, exist_ok=True)
+        self._staged: List[Tuple[Path, Path]] = []
+
+    def write(self, name: str, text: str) -> str:
+        """Stage ``text`` as outdir/name; returns the sha256 of its bytes."""
+        data = text.encode()
+        path = self.outdir / name
+        tmp = path.with_name(f".{name}.{uuid.uuid4().hex}.tmp")
+        self._staged.append((tmp, path))
+        with open(tmp, "xb") as fh:
+            fh.write(data)
+        return hashlib.sha256(data).hexdigest()
+
+    def __enter__(self) -> "OutputSet":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            if exc_type is None:
+                for tmp, path in self._staged:
+                    os.replace(tmp, path)
+        finally:
+            # whatever was not moved into place; all of it after an exception
+            for tmp, _ in self._staged:
+                tmp.unlink(missing_ok=True)
+
+
+def write_table(files: OutputSet, name: str, schema: str, header: Sequence[str], rows,
+                comments=()) -> str:
+    """Stage one CSV table of float rows; returns its sha256.
+
+    Each value is written as "%.17g", the same text as _fmt gives a float.
+    """
     lines = [f"# schema={schema}"]
     lines.extend(f"# {c}" for c in comments)
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
-    path.write_text("\n".join(lines) + "\n")
+    row_format = ",".join(["%.17g"] * len(header))
+    lines.extend(row_format % tuple(row) for row in rows)
+    return files.write(name, "\n".join(lines) + "\n")
 
 
-def sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def write_market_outputs(rec: SimulationRecord, outdir: Path) -> Dict[str, str]:
-    """Write the six data artifacts; returns file name -> sha256."""
-    outdir.mkdir(parents=True, exist_ok=True)
+def write_market_outputs(rec: SimulationRecord, files: OutputSet) -> Dict[str, str]:
+    """Stage the six data artifacts; returns file name -> sha256."""
     n = rec.config.n
     grid = make_grid(rec.config.s0, rec.config.s1, n)
     node_comment = "nodes=" + ",".join(_fmt(s) for s in grid.nodes)
     t = rec.times
+    digests = {}
 
-    def surface(name: str, values: np.ndarray) -> None:
-        header = ["t"] + [_fmt(s) for s in grid.nodes]
-        rows = ([t[j]] + list(values[j]) for j in range(len(t)))
-        write_table(outdir / name, SURFACE_SCHEMA, header, rows)
+    def table(name, schema, header, columns, comments=()):
+        # one float row per snapshot; tolist() hands "%" exact Python floats
+        rows = np.column_stack((t, *columns)).tolist()
+        digests[name] = write_table(files, name, schema, header, rows, comments)
 
-    surface("volatility_pdf.csv", rec.sigma_pdf)
-    surface("price_pdf.csv", rec.psi_pdf)
+    surface_header = ["t"] + [_fmt(s) for s in grid.nodes]
+    table("volatility_pdf.csv", SURFACE_SCHEMA, surface_header, [rec.sigma_pdf])
+    table("price_pdf.csv", SURFACE_SCHEMA, surface_header, [rec.psi_pdf])
     with np.errstate(divide="ignore"):
-        surface("price_pdf_log10.csv", np.log10(rec.psi_pdf))
+        log_pdf = np.log10(rec.psi_pdf)
+    table("price_pdf_log10.csv", SURFACE_SCHEMA, surface_header, [log_pdf])
 
-    header = ["t"]
-    for k in range(n):
-        header += [f"re_{k}", f"im_{k}"]
-    rows = (
-        [t[j]] + [x for k in range(n) for x in (rec.psi[j, k].real, rec.psi[j, k].imag)]
-        for j in range(len(t))
-    )
-    write_table(outdir / "psi_lines.csv", TRACES_SCHEMA, header, rows, comments=[node_comment])
+    def traces(lines):
+        # header and (re, im) columns of the psi lines, interleaved per line
+        header = ["t"] + [f"{part}_{k}" for k in lines for part in ("re", "im")]
+        return header, [np.ascontiguousarray(rec.psi[:, lines]).view(np.float64)]
 
+    table("psi_lines.csv", TRACES_SCHEMA, *traces(range(n)), comments=[node_comment])
     phase_lines = [n // 4, n // 2, (3 * n) // 4]
-    header = ["t"]
-    for k in phase_lines:
-        header += [f"re_{k}", f"im_{k}"]
-    rows = (
-        [t[j]] + [x for k in phase_lines for x in (rec.psi[j, k].real, rec.psi[j, k].imag)]
-        for j in range(len(t))
-    )
-    write_table(
-        outdir / "psi_phase.csv",
-        TRACES_SCHEMA,
-        header,
-        rows,
-        comments=[node_comment, "lines=" + ",".join(str(k) for k in phase_lines)],
-    )
+    table("psi_phase.csv", TRACES_SCHEMA, *traces(phase_lines),
+          comments=[node_comment, "lines=" + ",".join(str(k) for k in phase_lines)])
 
     header = ["t"] + [f"w_{i}" for i in range(n)] + [f"g_{i}" for i in range(n)]
-    rows = ([t[j]] + list(rec.w[j]) + list(rec.g[j]) for j in range(len(t)))
-    write_table(outdir / "weights_kernels.csv", TRACES_SCHEMA, header, rows)
-
-    return {name: sha256_file(outdir / name) for name in MARKET_FILES}
+    table("weights_kernels.csv", TRACES_SCHEMA, header, [rec.w, rec.g])
+    return digests
 
 
 def write_manifest(
-    outdir: Path,
+    files: OutputSet,
     config: ModelConfig,
     status: str,
     duration: float,
@@ -260,7 +286,7 @@ def write_manifest(
     ]
     lines.append("files:")
     lines += [f"  {name}: sha256={digest}" for name, digest in sorted(digests.items())]
-    (outdir / "manifest.txt").write_text("\n".join(lines) + "\n")
+    files.write("manifest.txt", "\n".join(lines) + "\n")
 
 
 def run_market(config: ModelConfig, outdir: Path) -> int:
@@ -276,8 +302,11 @@ def run_market(config: ModelConfig, outdir: Path) -> int:
         status = f"failed: {err}"
         code = 2
         print(f"integration failure: {err}", file=sys.stderr)
-    digests = write_market_outputs(rec, outdir)
-    write_manifest(outdir, config, status, time.perf_counter() - started, rec.stats, digests)
+    # the six data files and then the manifest move into place together
+    with OutputSet(outdir) as files:
+        digests = write_market_outputs(rec, files)
+        write_manifest(files, config, status, time.perf_counter() - started, rec.stats,
+                       digests)
     return code
 
 
@@ -396,8 +425,6 @@ def run_ladder(stage: str, outdir: Path, threshold: Optional[float] = None,
     gate = default_threshold if threshold is None else float(threshold)
     ladder = tuple(tolerances) if tolerances else default_ladder
 
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     rows = []
     gate_metrics: List[StageMetric] = []
     for tol in ladder:
@@ -406,14 +433,14 @@ def run_ladder(stage: str, outdir: Path, threshold: Optional[float] = None,
             rows.append([tol, m.name, m.value, m.threshold, str(m.passed).lower(), m.location])
         gate_metrics = metrics
     header = ["tolerance", "metric", "value", "threshold", "passed", "location"]
-    path = outdir / f"ladder_{stage}.csv"
     lines = [f"# schema={LADDER_SCHEMA}", f"# stage={stage}", ",".join(header)]
     for row in rows:
         lines.append(
             ",".join(format(x, ".10g") if isinstance(x, (float, np.floating)) else str(x)
                      for x in row)
         )
-    path.write_text("\n".join(lines) + "\n")
+    with OutputSet(outdir) as files:
+        files.write(f"ladder_{stage}.csv", "\n".join(lines) + "\n")
 
     failed = [m for m in gate_metrics if not m.passed]
     for m in failed:
@@ -474,6 +501,10 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"bad --seeds list: {args.seeds!r}") from None
     if not seeds:
         raise ConfigError("--seeds must name at least one seed")
+    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+    if repeated:
+        # every seed writes to out/seed_<seed>, so a repeat would race itself
+        raise ConfigError(f"--seeds repeats seed(s) {','.join(map(str, repeated))}")
     out = Path(args.out)
 
     def one(seed: int) -> int:

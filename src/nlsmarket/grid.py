@@ -48,6 +48,13 @@ class Grid:
         values.setflags(write=False)
         return values
 
+    @cached_property
+    def wrap_index(self) -> np.ndarray:
+        """Periodic padding index [n-1, 0, 1, ..., n-1, 0] (read-only)."""
+        index = np.arange(-1, self.n + 1) % self.n
+        index.setflags(write=False)
+        return index
+
 
 def make_grid(s0: float, s1: float, n: int) -> Grid:
     """Build a uniform grid with spacing ds = (s1 - s0) / (n - 1).
@@ -77,7 +84,7 @@ def second_difference(field: np.ndarray, grid: Grid, policy: BoundaryPolicy) -> 
     inv_ds2 = 1.0 / grid.ds**2
     if policy is BoundaryPolicy.PERIODIC:
         # one wrap-padded copy [f[-1], f..., f[0]] gives both neighbours as slices
-        padded = np.concatenate((field[..., -1:], field, field[..., :1]), axis=-1)
+        padded = field.take(grid.wrap_index, axis=-1)
         return (padded[..., 2:] - 2.0 * field + padded[..., :-2]) * inv_ds2
     out = np.zeros(field.shape, dtype=np.result_type(field, np.float64))
     out[..., 1:-1] = (field[..., 2:] - 2.0 * field[..., 1:-1] + field[..., :-2]) * inv_ds2

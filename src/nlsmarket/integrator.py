@@ -8,6 +8,7 @@ the callers (see ladder.pack_complex).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -111,6 +112,8 @@ def cash_karp_step(system: OdeSystem, t: float, y: np.ndarray, h: float):
     Returns (y5, err): the 5th-order solution and the component-wise
     difference between the 5th- and 4th-order solutions. A non-finite rhs
     output propagates into ``err`` and signals step failure to the caller.
+    Overflow and invalid operations inside the rhs are not reported as
+    floating-point warnings.
     """
     if h <= 0:
         raise ConfigError(f"step size must be positive, got {h}")
@@ -123,20 +126,23 @@ def cash_karp_step(system: OdeSystem, t: float, y: np.ndarray, h: float):
         k[0] = system.rhs(t, y)
         for i in range(1, 6):
             # y + h * (STAGE_COEFFS[i] @ k[:i]), bit for bit, without temporaries
-            np.matmul(STAGE_COEFFS[i], k[:i], out=yi)
+            np.dot(STAGE_COEFFS[i], k[:i], out=yi)
             yi *= h
             yi += y
             k[i] = system.rhs(t + STAGE_TIMES[i] * h, yi)
-        y5 = y + h * (WEIGHTS_5TH @ k)
-        err = h * (ERROR_WEIGHTS @ k)
+        y5 = y + h * np.dot(WEIGHTS_5TH, k)
+        err = h * np.dot(ERROR_WEIGHTS, k)
     return y5, err
 
 
 def _scaled_error_norm(err: np.ndarray, y: np.ndarray, ctl: StepControl) -> float:
+    """max_k |err_k| / (abs_tol + rel_tol |y_k|), or inf if that is not finite.
+
+    Callers suppress the invalid-operation warning of a NaN in ``err``.
+    """
     scale = ctl.abs_tol + ctl.rel_tol * np.abs(y)
-    with np.errstate(invalid="ignore"):
-        norm = float(np.max(np.abs(err) / scale))
-    return norm if np.isfinite(norm) else float("inf")
+    norm = float((np.abs(err) / scale).max())
+    return norm if math.isfinite(norm) else float("inf")
 
 
 def integrate_adaptive(
@@ -158,7 +164,9 @@ def integrate_adaptive(
 
     Returns (y_final, stats). Raises StepBudgetError when max_steps is
     exhausted and StiffnessError when a step at h_min is still rejected.
-    A rhs that raises NonFiniteError is treated like a rejected step.
+    A rhs that raises NonFiniteError is treated like a rejected step. The
+    rhs and the observer run with overflow and invalid-operation warnings
+    off, because a step that overflows is rejected by its error norm.
     """
     if not t1 > t0:
         raise ConfigError(f"need t1 > t0, got [{t0}, {t1}]")
@@ -172,43 +180,44 @@ def integrate_adaptive(
     h = min(max(ctl.h_init, ctl.h_min), h_max)
     t = t0
 
-    while t < t1:
-        if stats.accepted + stats.rejected >= ctl.max_steps:
-            raise StepBudgetError(
-                f"step budget of {ctl.max_steps} exhausted at t={t}", t=t, stats=stats
-            )
-        remaining = t1 - t
-        h_attempt = min(h, remaining)
-        final = h_attempt >= remaining
-        try:
-            y5, err = cash_karp_step(system, t, y, h_attempt)
-            stats.rhs_evaluations += 6
-            errnorm = _scaled_error_norm(err, y, ctl)
-            if not np.all(np.isfinite(y5)):
-                errnorm = float("inf")
-        except NonFiniteError:
-            stats.rhs_evaluations += 6
-            errnorm = float("inf")
-
-        if errnorm <= 1.0:
-            stats.accepted += 1
-            stats.min_h_used = min(stats.min_h_used, h_attempt)
-            stats.max_h_used = max(stats.max_h_used, h_attempt)
-            t = t1 if final else t + h_attempt
-            y = y5
-            if observer is not None:
-                observer(t, y.copy())
-        else:
-            stats.rejected += 1
-            if h_attempt <= ctl.h_min:
-                raise StiffnessError(
-                    f"error norm {errnorm:.3g} not satisfiable at h_min={ctl.h_min} (t={t})",
-                    t=t,
-                    stats=stats,
+    with np.errstate(over="ignore", invalid="ignore"):
+        while t < t1:
+            if stats.accepted + stats.rejected >= ctl.max_steps:
+                raise StepBudgetError(
+                    f"step budget of {ctl.max_steps} exhausted at t={t}", t=t, stats=stats
                 )
+            remaining = t1 - t
+            h_attempt = min(h, remaining)
+            final = h_attempt >= remaining
+            try:
+                y5, err = cash_karp_step(system, t, y, h_attempt)
+                stats.rhs_evaluations += 6
+                errnorm = _scaled_error_norm(err, y, ctl)
+                if not np.isfinite(y5).all():
+                    errnorm = float("inf")
+            except NonFiniteError:
+                stats.rhs_evaluations += 6
+                errnorm = float("inf")
 
-        factor = ctl.safety * (1.0 / max(errnorm, 1e-300)) ** 0.2
-        factor = min(max(factor, MAX_SHRINK), MAX_GROWTH)
-        h = min(max(h_attempt * factor, ctl.h_min), h_max)
+            if errnorm <= 1.0:
+                stats.accepted += 1
+                stats.min_h_used = min(stats.min_h_used, h_attempt)
+                stats.max_h_used = max(stats.max_h_used, h_attempt)
+                t = t1 if final else t + h_attempt
+                y = y5
+                if observer is not None:
+                    observer(t, y.copy())
+            else:
+                stats.rejected += 1
+                if h_attempt <= ctl.h_min:
+                    raise StiffnessError(
+                        f"error norm {errnorm:.3g} not satisfiable at h_min={ctl.h_min} (t={t})",
+                        t=t,
+                        stats=stats,
+                    )
+
+            factor = ctl.safety * (1.0 / max(errnorm, 1e-300)) ** 0.2
+            factor = min(max(factor, MAX_SHRINK), MAX_GROWTH)
+            h = min(max(h_attempt * factor, ctl.h_min), h_max)
 
     return y, stats

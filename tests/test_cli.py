@@ -10,12 +10,15 @@ import pytest
 from nlsmarket import ConfigError, ModelConfig, StepControl
 from nlsmarket.cli import (
     MARKET_FILES,
+    OutputSet,
+    _fmt,
     config_from_values,
     config_pairs,
     load_config,
     main,
     parse_config_text,
     run_ladder,
+    write_table,
 )
 
 DATA_FILES = list(MARKET_FILES)
@@ -101,6 +104,51 @@ def test_run_market_artifacts(tmp_path):
     for name in DATA_FILES:
         digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
         assert f"{name}: sha256={digest}" in manifest
+
+
+EDGE_VALUES = [-0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 1 / 3, 1e22]
+
+
+@pytest.mark.parametrize("kind", [float, np.float64])
+def test_write_table_matches_per_value_fmt(kind, tmp_path):
+    rows = [[kind(x) for x in EDGE_VALUES], [kind(-x) for x in reversed(EDGE_VALUES)]]
+    header = [f"c{i}" for i in range(len(EDGE_VALUES))]
+    with OutputSet(tmp_path) as files:
+        digest = write_table(files, "t.csv", "demo.v1", header, rows, comments=["note"])
+    expected = "# schema=demo.v1\n# note\n" + ",".join(header) + "\n"
+    expected += "".join(",".join(_fmt(x) for x in row) + "\n" for row in rows)
+    data = (tmp_path / "t.csv").read_bytes()
+    assert data == expected.encode()
+    assert digest == hashlib.sha256(data).hexdigest()
+    assert "-0,nan,inf,-inf,4.9406564584124654e-324,0.33333333333333331,1e+22" in expected
+
+
+def test_failed_write_leaves_the_previous_run_intact(tmp_path, monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("t_end = 2\nseed = 5\n")
+    out = tmp_path / "out"
+    assert main(["run-market", "--config", str(cfg), "--out", str(out)]) == 0
+    names = sorted(DATA_FILES + ["manifest.txt"])
+    assert sorted(p.name for p in out.iterdir()) == names  # no temp file left
+    before = {name: (out / name).read_bytes() for name in names}
+
+    # the third artifact of the next run is staged and then its write fails
+    original = OutputSet.write
+    calls = []
+
+    def failing_write(self, name, text):
+        digest = original(self, name, text)
+        calls.append(name)
+        if len(calls) == 3:
+            raise OSError(f"no space left writing {name}")
+        return digest
+
+    monkeypatch.setattr(OutputSet, "write", failing_write)
+    with pytest.raises(OSError, match="no space left"):
+        main(["run-market", "--config", str(cfg), "--out", str(out), "--seed", "6"])
+    assert calls == DATA_FILES[:3]
+    assert sorted(p.name for p in out.iterdir()) == names
+    assert {name: (out / name).read_bytes() for name in names} == before
 
 
 def test_run_market_zero_horizon(tmp_path):
@@ -216,6 +264,18 @@ def test_sweep_runs_each_seed(tmp_path):
     b = (out / "seed_4" / "weights_kernels.csv").read_bytes()
     assert a != b
     assert main(["sweep", "--out", str(out), "--seeds", ""]) == 1
+
+
+def test_sweep_rejects_repeated_seeds(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("t_end = 1\n")
+    out = tmp_path / "sw"
+    rc = main(["sweep", "--config", str(cfg), "--out", str(out), "--seeds", "1,2,1,1",
+               "--workers", "4"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "repeats seed(s) 1" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

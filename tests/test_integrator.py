@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,15 @@ from nlsmarket import (
     integrate_adaptive,
     make_grid,
 )
-from nlsmarket.integrator import ERROR_WEIGHTS, STAGE_COEFFS, STAGE_TIMES, WEIGHTS_5TH
+from nlsmarket.grid import BoundaryPolicy
+from nlsmarket.integrator import (
+    ERROR_WEIGHTS,
+    STAGE_COEFFS,
+    STAGE_TIMES,
+    WEIGHTS_5TH,
+    _scaled_error_norm,
+)
+from nlsmarket.ladder import complex_system, nls_rhs, pack_complex
 from nlsmarket.market import pack_state
 
 EXP = OdeSystem(1, lambda t, y: y)
@@ -188,8 +198,7 @@ def allocating_cash_karp_step(system, t, y, h):
     return y + h * (WEIGHTS_5TH @ k), h * (ERROR_WEIGHTS @ k)
 
 
-@pytest.mark.parametrize("h", [1e-3, 0.05])
-def test_step_matches_allocating_oracle_bit_for_bit(h):
+def market_system_and_state():
     cfg = ModelConfig()
     grid = make_grid(cfg.s0, cfg.s1, cfg.n)
     state, params = init_state(cfg)
@@ -197,12 +206,74 @@ def test_step_matches_allocating_oracle_bit_for_bit(h):
     def rhs(t, y):
         return coupled_rhs(t, y, grid, params, cfg)
 
-    system = OdeSystem(5 * cfg.n, rhs)
-    y0 = pack_state(state)
-    # the initial fields are uniform; a perturbed state also exercises the stencil
-    rough = y0 + 1e-2 * np.random.default_rng(1).normal(size=y0.size)
-    for y in (y0, rough):
-        y5, err = cash_karp_step(system, 0.25, y, h)
-        ref_y5, ref_err = allocating_cash_karp_step(system, 0.25, y, h)
-        assert np.array_equal(y5, ref_y5)
-        assert np.array_equal(err, ref_err)
+    return OdeSystem(5 * cfg.n, rhs), pack_state(state)
+
+
+def nls_system_and_state():
+    # the ladder's soliton stage: d = 1,602, where np.dot and np.matmul could
+    # pick different kernels for the stage sums
+    grid = make_grid(-20.0, 20.0, 801)
+    system = complex_system(lambda f: nls_rhs(f, grid, BoundaryPolicy.PERIODIC, -1.0), grid.n)
+    return system, pack_complex(1.0 / np.cosh(grid.nodes))
+
+
+@pytest.mark.parametrize("h", [1e-3, 0.05])
+def test_step_matches_allocating_oracle_bit_for_bit(h):
+    for system, y0 in (market_system_and_state(), nls_system_and_state()):
+        # a uniform initial field leaves the stencil idle; a perturbed state does not
+        rough = y0 + 1e-2 * np.random.default_rng(1).normal(size=y0.size)
+        for y in (y0, rough):
+            y5, err = cash_karp_step(system, 0.25, y, h)
+            ref_y5, ref_err = allocating_cash_karp_step(system, 0.25, y, h)
+            assert np.array_equal(y5, ref_y5)
+            assert np.array_equal(err, ref_err)
+
+
+def test_scaled_error_norm_is_the_max_formula():
+    ctl = StepControl(abs_tol=1e-6, rel_tol=1e-5)
+    rng = np.random.default_rng(7)
+    for size in (1, 150, 1602):
+        err = rng.normal(scale=1e-6, size=size)
+        y = rng.normal(size=size)
+        expected = float(np.max(np.abs(err) / (ctl.abs_tol + ctl.rel_tol * np.abs(y))))
+        assert _scaled_error_norm(err, y, ctl) == expected
+        for bad in (np.nan, np.inf, -np.inf):
+            broken = err.copy()
+            broken[size // 2] = bad
+            with np.errstate(invalid="ignore"):
+                assert _scaled_error_norm(broken, y, ctl) == float("inf")
+
+
+def cubic_decay(t, y):
+    # y' = -1e6 y^3: a step of h = 0.5 from y = 1 overflows to inf, then NaN,
+    # inside the stages
+    return -1e6 * y**3
+
+
+def saturating_decay(t, y):
+    # y' = -50 y, saturating at +-1e306 outside |y| <= 2: a step of h = 1 from
+    # y = 1 leaves every stage finite, but its error over the tolerance scale
+    # overflows in the error norm
+    return np.where(np.abs(y) <= 2.0, -50.0 * y, -1e306 * np.sign(y))
+
+
+@pytest.mark.parametrize(
+    "rhs, h_init, exact",
+    [(cubic_decay, 0.5, (1.0 + 2e6) ** -0.5), (saturating_decay, 1.0, np.exp(-50.0))],
+    ids=["rhs-overflow", "norm-overflow"],
+)
+def test_overflowing_large_step_is_rejected_without_warnings(rhs, h_init, exact):
+    huge = []
+
+    def watched(t, y):
+        dy = rhs(t, y)
+        if not np.all(np.abs(dy) < 1e300):
+            huge.append(t)
+        return dy
+
+    ctl = StepControl(abs_tol=1e-8, rel_tol=1e-8, h_init=h_init, h_max=h_init)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y, stats = integrate_adaptive(OdeSystem(1, watched), 0.0, 1.0, np.array([1.0]), ctl)
+    assert huge and stats.rejected >= 1
+    assert y[0] == pytest.approx(exact, rel=1e-6, abs=1e-7)
