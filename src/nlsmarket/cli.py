@@ -7,7 +7,7 @@ Subcommands:
     sweep        fan independent seeded runs out across worker threads
 
 Exit codes: 0 success, 1 usage or configuration error, 2 integration
-failure, 3 oracle tolerance failure.
+failure, 3 oracle tolerance failure, 4 outputs could not be written.
 """
 
 from __future__ import annotations
@@ -565,6 +565,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except IntegrationError as err:
         print(f"integration failure: {err}", file=sys.stderr)
         return 2
+    except OSError as err:
+        # a config that cannot be read is a ConfigError already, so what
+        # reaches here failed while creating or writing outputs
+        print(f"error: cannot write outputs: {err}", file=sys.stderr)
+        return 4
 
 
 def app() -> None:

@@ -43,6 +43,13 @@ ERROR_WEIGHTS = WEIGHTS_5TH - WEIGHTS_4TH
 # oscillating on stiff right-hand sides
 MAX_GROWTH = 5.0
 MAX_SHRINK = 0.1
+# PI control of accepted steps as in DOPRI5 (Hairer, Norsett & Wanner,
+# Solving ODEs II, IV.2): exponent BETA on the previous accepted error norm,
+# floored at ERR_PREV_FLOOR (DOPRI5's FACOLD), which is also its start value
+BETA = 0.04
+ERR_PREV_FLOOR = 1e-4
+# a step within this relative margin of the distance to t1 lands on t1
+LANDING_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -63,7 +70,11 @@ class OdeSystem:
 class StepControl:
     """Adaptive step-size control parameters.
 
-    ``h_max = None`` resolves to (t1 - t0) / 10 at integration time.
+    ``h_init`` is the first step attempted by one integrate_adaptive call;
+    a caller that chains calls may pass on the previous call's
+    ``StepStats.next_h`` instead. ``h_max = None`` resolves to
+    (t1 - t0) / 10 at integration time. ``safety`` scales every step-size
+    proposal of the controller (see integrate_adaptive).
     """
 
     abs_tol: float
@@ -90,13 +101,19 @@ class StepControl:
 
 @dataclass
 class StepStats:
-    """Counters accumulated over one integration."""
+    """Counters accumulated over one integration.
+
+    ``next_h`` is the step the controller proposed after the last accepted
+    step that did not land on t1, or the starting step if there was none:
+    the step to start a following integration with.
+    """
 
     accepted: int = 0
     rejected: int = 0
     min_h_used: float = float("inf")
     max_h_used: float = 0.0
     rhs_evaluations: int = 0
+    next_h: float = 0.0
 
     def merge(self, other: "StepStats") -> None:
         self.accepted += other.accepted
@@ -104,6 +121,7 @@ class StepStats:
         self.min_h_used = min(self.min_h_used, other.min_h_used)
         self.max_h_used = max(self.max_h_used, other.max_h_used)
         self.rhs_evaluations += other.rhs_evaluations
+        self.next_h = other.next_h
 
 
 def cash_karp_step(system: OdeSystem, t: float, y: np.ndarray, h: float):
@@ -155,12 +173,25 @@ def integrate_adaptive(
 ):
     """Integrate from t0 to t1, adapting the step size.
 
-    A step is accepted when max_k |err_k| / (abs_tol + rel_tol |y_k|) <= 1.
-    After every accept or reject the next step is
-    h * safety * errnorm**(-1/5), limited to [MAX_SHRINK, MAX_GROWTH] times
-    the attempted step and clamped to [h_min, h_max]. The final step is
-    truncated to land exactly on t1. ``observer(t, y)`` fires at every
-    accepted step.
+    A step is accepted when its error norm e = max_k |err_k| / (abs_tol +
+    rel_tol |y_k|) is at most 1. The next step is then
+
+        h * clamp(safety * e**-(1/5 - 3 BETA/4) * e_prev**BETA, MAX_SHRINK, cap)
+
+    (DOPRI5's PI control), where e_prev is the error norm of the previous
+    accepted step of this call, floored at ERR_PREV_FLOOR, and
+    ERR_PREV_FLOOR before the first one. ``cap`` is 1 on the first accepted
+    step after a rejected attempt, so that step does not grow, and
+    MAX_GROWTH otherwise. After a rejected attempt the next one is
+    h * max(safety * e**(-1/5), MAX_SHRINK). Every proposal is clamped to
+    [h_min, h_max].
+
+    A step of h with h * (1 + LANDING_SLACK) >= t1 - t is stretched or
+    truncated to t1 - t and lands exactly on t1, so no float residue of a
+    step is left over; a landing step may therefore exceed h_max by at
+    most LANDING_SLACK relative. ``observer(t, y)`` fires at every
+    accepted step. ``stats.next_h`` returns the controller's proposal
+    after the last accepted step that did not land (see StepStats).
 
     Returns (y_final, stats). Raises StepBudgetError when max_steps is
     exhausted and StiffnessError when a step at h_min is still rejected.
@@ -178,7 +209,10 @@ def integrate_adaptive(
     h_max = ctl.h_max if ctl.h_max is not None else (t1 - t0) / 10.0
     h_max = max(h_max, ctl.h_min)
     h = min(max(ctl.h_init, ctl.h_min), h_max)
+    stats.next_h = h
     t = t0
+    err_prev = ERR_PREV_FLOOR
+    after_reject = False
 
     with np.errstate(over="ignore", invalid="ignore"):
         while t < t1:
@@ -187,8 +221,8 @@ def integrate_adaptive(
                     f"step budget of {ctl.max_steps} exhausted at t={t}", t=t, stats=stats
                 )
             remaining = t1 - t
-            h_attempt = min(h, remaining)
-            final = h_attempt >= remaining
+            final = h * (1.0 + LANDING_SLACK) >= remaining
+            h_attempt = remaining if final else h
             try:
                 y5, err = cash_karp_step(system, t, y, h_attempt)
                 stats.rhs_evaluations += 6
@@ -207,6 +241,14 @@ def integrate_adaptive(
                 y = y5
                 if observer is not None:
                     observer(t, y.copy())
+                factor = (ctl.safety * max(errnorm, 1e-300) ** (0.75 * BETA - 0.2)
+                          * err_prev**BETA)
+                factor = min(max(factor, MAX_SHRINK), 1.0 if after_reject else MAX_GROWTH)
+                err_prev = max(errnorm, ERR_PREV_FLOOR)
+                after_reject = False
+                h = min(max(h_attempt * factor, ctl.h_min), h_max)
+                if not final:
+                    stats.next_h = h
             else:
                 stats.rejected += 1
                 if h_attempt <= ctl.h_min:
@@ -215,9 +257,8 @@ def integrate_adaptive(
                         t=t,
                         stats=stats,
                     )
-
-            factor = ctl.safety * (1.0 / max(errnorm, 1e-300)) ** 0.2
-            factor = min(max(factor, MAX_SHRINK), MAX_GROWTH)
-            h = min(max(h_attempt * factor, ctl.h_min), h_max)
+                factor = max(ctl.safety * (1.0 / errnorm) ** 0.2, MAX_SHRINK)
+                after_reject = True
+                h = min(max(h_attempt * factor, ctl.h_min), h_max)
 
     return y, stats

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .grid import BoundaryPolicy, Grid, make_grid, second_difference
 from .integrator import OdeSystem, StepControl, StepStats, integrate_adaptive
-from .ladder import mass, pack_complex, unpack_complex
+from .ladder import pack_complex, unpack_complex
 
 # Weight and mixing-coefficient draw order is part of the reproducibility
 # contract and is echoed into run manifests.
@@ -252,7 +252,6 @@ class SimulationRecord:
     psi: np.ndarray
     w: np.ndarray
     g: np.ndarray
-    mass_sigma: np.ndarray
     stats: StepStats
     wall_seconds: float
     completed: bool
@@ -281,8 +280,11 @@ def run_simulation(config: ModelConfig) -> SimulationRecord:
     """Integrate the coupled model from t = 0 to t_end.
 
     Snapshots are taken at every multiple of snapshot_stride and at t_end
-    by integrating stride segments back to back, so snapshot times are
-    exact. Integration failures re-raise with the partial record attached
+    by integrating stride segments back to back, one integrate_adaptive
+    call each, so snapshot times are exact. Each segment after the first
+    starts from the step its predecessor's controller proposed
+    (``StepStats.next_h``); ``control.h_init`` applies to the first segment
+    only. Integration failures re-raise with the partial record attached
     as ``err.record``.
     """
     grid = make_grid(config.s0, config.s1, config.n)
@@ -296,7 +298,7 @@ def run_simulation(config: ModelConfig) -> SimulationRecord:
 
     times = _snapshot_times(config.t_end, config.snapshot_stride)
     rows: List[MarketState] = []
-    stats = StepStats()
+    stats = StepStats(next_h=config.control.h_init)
     started = _time.perf_counter()
 
     def record_rows(completed: bool) -> SimulationRecord:
@@ -308,7 +310,6 @@ def run_simulation(config: ModelConfig) -> SimulationRecord:
             psi=np.array([s.psi for s in rows]),
             w=np.array([s.w for s in rows]),
             g=np.array([gaussian_kernels(s.t, modulus_sq(s.sigma), grid, params) for s in rows]),
-            mass_sigma=np.array([mass(s.sigma, grid) for s in rows]),
             stats=stats,
             wall_seconds=_time.perf_counter() - started,
             completed=completed,
@@ -325,7 +326,8 @@ def run_simulation(config: ModelConfig) -> SimulationRecord:
                 raise StepBudgetError(
                     f"step budget of {budget} exhausted at t={t_prev}", t=t_prev, stats=stats
                 )
-            ctl = dataclasses.replace(config.control, max_steps=budget - used)
+            ctl = dataclasses.replace(config.control, max_steps=budget - used,
+                                      h_init=stats.next_h)
             try:
                 y, seg_stats = integrate_adaptive(system, t_prev, t_next, y, ctl)
             except IntegrationError as err:

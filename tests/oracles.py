@@ -8,7 +8,7 @@ instead of the closed form.
 import math
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
 from nlsmarket.grid import BoundaryPolicy, second_difference
 
@@ -95,3 +95,50 @@ def call_price_quadrature(spot, strike, rate, sigma, tau) -> float:
 def heat_kernel(x: np.ndarray, t: float) -> np.ndarray:
     """Spreading Gaussian for diffusion coefficient 1/2 from exp(-x^2/2)."""
     return (1.0 + t) ** -0.5 * np.exp(-(x**2) / (2.0 * (1.0 + t)))
+
+
+def uniform_start_psi(times, r: float) -> np.ndarray:
+    """psi_k(t) = exp(-i (1 + r) t), the price line of every node.
+
+    From the paper's start values (sigma = 1/4 and psi = 1 on every line)
+    both fields stay uniform across the lines, so each Laplacian is zero,
+    V is real and both moduli are constant: psi' = -i (|psi|^2 + r) psi
+    with |psi| = 1.
+    """
+    return np.exp(-1j * (1.0 + r) * np.asarray(times, dtype=float))
+
+
+def uniform_start_reduction(n, s0, s1, c, seed, times):
+    """(w, sigma) of the coupled model from the paper's start values.
+
+    With |sigma|^2 = 1/16 and |psi| = 1 held exactly, the model reduces to
+    the linear (n + 1)-dimensional system
+
+        w_i' = -w_i + (c / 4) g_i(t),   phi' = -(1/16) sum_i w_i g_i(t),
+
+    g_i(t) = exp(-((Y - 2 sin 60t)(1 - m_i))^2), Y = (1/16) sum_k s_k ds,
+    and sigma = (1/4) exp(i phi). It is solved with scipy's DOP853 at
+    rtol = atol = 1e-12. w(0) and m are drawn from the PRNG contract as
+    written in the run manifest, not by the library's init_state.
+    Returns w at ``times``, shape (len(times), n), and sigma, shape
+    (len(times),).
+    """
+    rng = np.random.default_rng(seed)
+    w0 = rng.uniform(-1.0, 1.0, n)
+    one_minus_m = 1.0 - rng.uniform(-1.0, 1.0, n)
+    y_tgt = np.sum(np.linspace(s0, s1, n)) * (s1 - s0) / (n - 1) / 16.0
+
+    def rhs(t, u):
+        x = (y_tgt - 2.0 * math.sin(60.0 * t)) * one_minus_m
+        g = np.exp(-(x * x))
+        du = np.empty(n + 1)
+        np.multiply(g, 0.25 * c, out=du[:n])
+        du[:n] -= u[:n]
+        du[n] = -np.dot(u[:n], g) / 16.0
+        return du
+
+    times = np.asarray(times, dtype=float)
+    sol = solve_ivp(rhs, (0.0, times[-1]), np.append(w0, 0.0), method="DOP853",
+                    t_eval=times, rtol=1e-12, atol=1e-12)
+    assert sol.success, sol.message
+    return sol.y[:n].T, 0.25 * np.exp(1j * sol.y[n])

@@ -123,7 +123,7 @@ def test_write_table_matches_per_value_fmt(kind, tmp_path):
     assert "-0,nan,inf,-inf,4.9406564584124654e-324,0.33333333333333331,1e+22" in expected
 
 
-def test_failed_write_leaves_the_previous_run_intact(tmp_path, monkeypatch):
+def test_failed_write_leaves_the_previous_run_intact(tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("t_end = 2\nseed = 5\n")
     out = tmp_path / "out"
@@ -144,8 +144,11 @@ def test_failed_write_leaves_the_previous_run_intact(tmp_path, monkeypatch):
         return digest
 
     monkeypatch.setattr(OutputSet, "write", failing_write)
-    with pytest.raises(OSError, match="no space left"):
-        main(["run-market", "--config", str(cfg), "--out", str(out), "--seed", "6"])
+    capsys.readouterr()
+    assert main(["run-market", "--config", str(cfg), "--out", str(out), "--seed", "6"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write outputs: ")
+    assert "no space left writing price_pdf_log10.csv" in err
     assert calls == DATA_FILES[:3]
     assert sorted(p.name for p in out.iterdir()) == names
     assert {name: (out / name).read_bytes() for name in names} == before

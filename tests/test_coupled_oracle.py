@@ -1,0 +1,80 @@
+"""The coupled model against its exact reduction from the paper's start values.
+
+From sigma = 1/4 and psi = 1 on every line the fields stay uniform, so the
+model has a closed form for psi and |sigma|^2 and reduces to a linear
+(n + 1)-dimensional system for w and arg sigma (see oracles.py). Every gate
+below is its measured value times the stated headroom.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nlsmarket import ModelConfig, StepControl, run_simulation
+
+from oracles import uniform_start_psi, uniform_start_reduction
+
+
+def oracle_errors(rec):
+    """Largest deviation of each recorded field from the exact solution."""
+    cfg = rec.config
+    w, sigma = uniform_start_reduction(cfg.n, cfg.s0, cfg.s1, cfg.c, cfg.seed, rec.times)
+    return {
+        "psi": np.max(np.abs(rec.psi - uniform_start_psi(rec.times, cfg.r)[:, None])),
+        "sigma_sq": np.max(np.abs(rec.sigma_pdf - 1.0 / 16.0)),
+        "w": np.max(np.abs(rec.w - w)),
+        "sigma": np.max(np.abs(rec.sigma - sigma[:, None])),
+    }
+
+
+def paper_run(days, tol=1e-6):
+    control = StepControl(abs_tol=tol, rel_tol=tol)
+    return run_simulation(ModelConfig(t_end=days, control=control))
+
+
+@pytest.fixture(scope="module")
+def paper_20d_errors():
+    return oracle_errors(paper_run(20.0))
+
+
+def test_paper_run_matches_the_exact_solution(paper_20d_errors):
+    # measured at 20 d, tol 1e-6: psi 1.22e-7, |sigma|^2 1.43e-11,
+    # w 5.40e-6, sigma 6.29e-7
+    errors = paper_20d_errors
+    assert errors["psi"] < 3e-7  # 2.5x
+    assert errors["sigma_sq"] < 5e-11  # 3.5x
+    assert errors["w"] < 1e-5  # 1.85x
+    assert errors["sigma"] < 1.5e-6  # 2.4x
+
+
+def test_psi_error_falls_with_the_tolerance(paper_20d_errors):
+    # measured at 20 d: 1.22e-7 at tol 1e-6, 9.64e-10 at tol 1e-8, 126x
+    coarse = paper_20d_errors["psi"]
+    fine = oracle_errors(paper_run(20.0, tol=1e-8))["psi"]
+    assert coarse / fine > 50.0  # 2.5x
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(3, 40),
+    s0=st.floats(0.5, 20.0),
+    width=st.floats(0.5, 20.0),
+    r=st.floats(0.0, 0.01),
+    c=st.floats(0.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+    days=st.floats(10.0, 30.0),
+)
+def test_any_uniform_start_matches_the_exact_solution(n, s0, width, r, c, seed, days):
+    cfg = ModelConfig(n=n, s0=s0, s1=s0 + width, r=r, c=c, seed=seed, t_end=days)
+    rec = run_simulation(cfg)
+    assert rec.completed
+    # worst over 200 uniform draws of these ranges and 36 corner cases
+    # (small Y = (1/16) sum_k s_k ds, where the kernels switch fastest;
+    # c = 3) at tol 1e-6: psi 2.93e-5, |sigma|^2 2.50e-8, w 1.07e-4,
+    # sigma 6.26e-5
+    errors = oracle_errors(rec)
+    assert errors["psi"] < 1e-4  # 3.4x
+    assert errors["sigma_sq"] < 7.5e-8  # 3x
+    assert errors["w"] < 3e-4  # 2.8x
+    assert errors["sigma"] < 2e-4  # 3.2x

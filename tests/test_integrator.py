@@ -3,6 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
+import nlsmarket.integrator as integrator
+import nlsmarket.market as market
 from nlsmarket import (
     ConfigError,
     ModelConfig,
@@ -10,6 +12,7 @@ from nlsmarket import (
     OdeSystem,
     StepBudgetError,
     StepControl,
+    StepStats,
     StiffnessError,
     cash_karp_step,
     coupled_rhs,
@@ -20,13 +23,14 @@ from nlsmarket import (
 from nlsmarket.grid import BoundaryPolicy
 from nlsmarket.integrator import (
     ERROR_WEIGHTS,
+    LANDING_SLACK,
     STAGE_COEFFS,
     STAGE_TIMES,
     WEIGHTS_5TH,
     _scaled_error_norm,
 )
 from nlsmarket.ladder import complex_system, nls_rhs, pack_complex
-from nlsmarket.market import pack_state
+from nlsmarket.market import pack_state, run_simulation
 
 EXP = OdeSystem(1, lambda t, y: y)
 ROTATION = OdeSystem(2, lambda t, y: np.array([-y[1], y[0]]))
@@ -277,3 +281,97 @@ def test_overflowing_large_step_is_rejected_without_warnings(rhs, h_init, exact)
         y, stats = integrate_adaptive(OdeSystem(1, watched), 0.0, 1.0, np.array([1.0]), ctl)
     assert huge and stats.rejected >= 1
     assert y[0] == pytest.approx(exact, rel=1e-6, abs=1e-7)
+
+
+def record_attempts(monkeypatch):
+    """(t, h) of every step attempted from now on, accepted or not."""
+    attempts = []
+    original = integrator.cash_karp_step
+
+    def recording(system, t, y, h):
+        attempts.append((t, h))
+        return original(system, t, y, h)
+
+    monkeypatch.setattr(integrator, "cash_karp_step", recording)
+    return attempts
+
+
+def test_fixed_step_lands_on_t1_without_a_residue_step():
+    # ten steps of 0.1 sum to 0.9999999999999999; the tenth lands on 1.0
+    # instead of leaving a 1.1e-16 step behind
+    ctl = StepControl(abs_tol=1e-4, rel_tol=1e-4, h_init=0.1, h_min=0.1, h_max=0.1)
+    times = []
+    _, stats = integrate_adaptive(EXP, 0.0, 1.0, np.array([1.0]), ctl,
+                                  observer=lambda t, y: times.append(t))
+    assert stats.accepted == 10 and stats.rejected == 0
+    assert stats.min_h_used >= ctl.h_min
+    assert stats.max_h_used <= ctl.h_max * (1.0 + LANDING_SLACK)
+    assert times[-1] == 1.0
+
+
+def test_step_after_a_rejection_never_grows(monkeypatch):
+    # sharp periodic pulses: the steps grow between pulses and are rejected
+    # on meeting the next one
+    pulses = OdeSystem(1, lambda t, y: 10.0 * np.exp(-((np.sin(3.0 * t) / 0.02) ** 2)) - y)
+    attempts = record_attempts(monkeypatch)
+    ctl = StepControl(abs_tol=1e-7, rel_tol=1e-7)
+    _, stats = integrate_adaptive(pulses, 0.0, 5.0, np.array([1.0]), ctl)
+    assert len(attempts) == stats.accepted + stats.rejected
+    checked = 0
+    for (t_a, h_a), (t_b, h_b), (t_c, h_c) in zip(attempts, attempts[1:], attempts[2:]):
+        if t_b == t_a and t_c > t_b:
+            # attempt a was rejected and b, accepted, was the first after it
+            assert h_b < h_a
+            assert h_c <= h_b * (1.0 + LANDING_SLACK)
+            checked += 1
+    assert checked >= 5
+
+
+def test_next_h_is_the_last_proposal_before_landing():
+    # steps capped by h_max = 0.3 over [0, 1]: 0.3, 0.3, 0.3 and a landing
+    # step of 0.1, whose own proposal is not carried
+    ctl = StepControl(abs_tol=1e-4, rel_tol=1e-4, h_init=0.3, h_max=0.3)
+    _, stats = integrate_adaptive(EXP, 0.0, 1.0, np.array([1.0]), ctl)
+    assert stats.accepted == 4 and stats.min_h_used == pytest.approx(0.1)
+    assert stats.next_h == 0.3
+
+
+def test_next_h_is_the_starting_step_when_every_step_lands():
+    ctl = StepControl(abs_tol=1e-6, rel_tol=1e-6, h_init=1e-3, h_max=0.5)
+    _, stats = integrate_adaptive(EXP, 0.0, 1e-3, np.array([1.0]), ctl)
+    assert stats.accepted == 1
+    assert stats.next_h == 1e-3
+
+
+def test_merge_takes_the_later_next_h():
+    total = StepStats(next_h=1e-3)
+    total.merge(StepStats(accepted=3, next_h=0.25))
+    assert total.next_h == 0.25 and total.accepted == 3
+
+
+def test_snapshot_segments_start_from_the_carried_step(monkeypatch):
+    starts = []
+    original = market.integrate_adaptive
+
+    def recording(system, t0, t1, y0, ctl):
+        y, stats = original(system, t0, t1, y0, ctl)
+        starts.append((ctl.h_init, stats.next_h))
+        return y, stats
+
+    monkeypatch.setattr(market, "integrate_adaptive", recording)
+    rec = run_simulation(ModelConfig(t_end=3.0))
+    assert len(starts) == 3
+    assert starts[0][0] == rec.config.control.h_init
+    for (_, carried), (h_init, _) in zip(starts, starts[1:]):
+        assert h_init == carried
+    assert rec.stats.next_h == starts[-1][1]
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_dense_snapshot_run_takes_ten_steps_per_segment(seed):
+    # 0.05-day snapshots over 10 days: h_max = 0.005 bounds every step, and
+    # the carried step lets every segment but the first, which ramps up from
+    # h_init in 11 steps, take exactly 10 of them, whatever the seed
+    rec = run_simulation(ModelConfig(t_end=10.0, snapshot_stride=0.05, seed=seed))
+    assert rec.stats.accepted == 2_001 and rec.stats.rejected == 0
+    assert rec.stats.rhs_evaluations == 12_006
