@@ -1,0 +1,164 @@
+"""Paired benchmark runs of two source trees, recorded in a BENCH_<n>.json.
+
+Runs ``perfbench/run.py`` of two checkouts (the parent commit and the
+change) one after the other, alternating which side goes first in each
+pair, and stores every run's JSON object, as run.py prints it on its last
+line, together with a median/quartile summary per end-to-end metric.
+
+    python3 scripts/bench_pairs.py --parent ../parent --change . \\
+        --workload ladder --pairs 5 --seconds 30 --out BENCH_7.json
+    python3 scripts/bench_pairs.py --parent ../parent --change ../parent-copy \\
+        --workload ladder --pairs 5 --seconds 30 --out BENCH_7.json --key ladder-control
+    python3 scripts/bench_pairs.py --parent ../parent --change . \\
+        --workload ladder --pairs 1 --trace 1 --out BENCH_7.json
+
+With ``--trace 0`` the pairs are appended to ``workloads[KEY]`` (KEY
+defaults to the workload name) and its summary is recomputed over all of
+them, so a record can be grown by later calls. With ``--trace 1`` one pair
+is run and stored as ``traced[KEY]``. Each tree runs its own run.py from
+its own root with the same ``--seed`` in a pair; seeds count up from
+``--seed-base``. A pair takes about 2 x (S + 10) seconds.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+SIDES = ("parent", "change")
+
+
+def cpu_model() -> str:
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                return line.partition(":")[2].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
+
+
+def machine() -> str:
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    line = (f"{cpu_model()}, {os.cpu_count()} vCPUs, Python {platform.python_version()}, "
+            f"numpy {np.__version__}")
+    if blas.get("name"):
+        line += f", {blas['name']} {blas.get('version', '')}".rstrip()
+    return line
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int):
+    """One run.py run from ``tree``: (result object, source digest)."""
+    argv = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    done = subprocess.run(argv, cwd=tree, capture_output=True, text=True,
+                          timeout=20 * seconds + 600)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines or lines[-1].startswith("#"):
+        raise RuntimeError(f"{tree}: run.py exited {done.returncode}\n{done.stderr[-2000:]}")
+    digest = None
+    for line in lines:
+        if line.startswith("# environment: "):
+            digest = json.loads(line[len("# environment: "):])["source_sha256"]
+    return json.loads(lines[-1]), digest
+
+
+def run_pair(trees: dict, workload: str, seed: int, seconds: float, trace: int,
+             first: str) -> dict:
+    pair = {"seed": seed, "first": first}
+    order = SIDES if first == "parent" else SIDES[::-1]
+    for side in order:
+        started = time.time()
+        pair[side], pair[f"{side}_source_sha256"] = run_once(trees[side], workload, seed,
+                                                      seconds, trace)
+        wall = pair[side]["metrics"].get("wall_s", {}).get("value")
+        print(f"# {workload} seed {seed} {side}: {time.time() - started:.0f} s"
+              + (f", wall_s {wall:.4f}" if wall is not None else ""), flush=True)
+    return pair
+
+
+def summarize(pairs: list, better: dict) -> dict:
+    """Median and quartiles per side and metric, and in how many pairs the
+    change was better (strictly, in the metric's declared direction)."""
+    summary = {"failed": {side: sum(p[side]["failed"] for p in pairs) for side in SIDES}}
+    names = sorted(set(pairs[0]["parent"]["metrics"]) & set(pairs[0]["change"]["metrics"]))
+    for name in names:
+        values = {side: np.array([p[side]["metrics"][name]["value"] for p in pairs])
+                  for side in SIDES}
+        entry = {"pairs": len(pairs)}
+        for side in SIDES:
+            q1, med, q3 = np.percentile(values[side], [25, 50, 75])
+            entry[side] = {"median": float(med), "q1": float(q1), "q3": float(q3)}
+        sign = -1.0 if better.get(name, "lower") == "lower" else 1.0
+        entry["change_better_pairs"] = int(np.sum(sign * (values["change"]
+                                                          - values["parent"]) > 0))
+        if entry["parent"]["median"]:
+            entry["ratio"] = entry["change"]["median"] / entry["parent"]["median"]
+        summary[name] = entry
+    return summary
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="root of the parent source tree")
+    parser.add_argument("--change", required=True, help="root of the changed source tree")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--seed-base", type=int, default=1)
+    parser.add_argument("--key", help="record key (default: the workload name)")
+    parser.add_argument("--out", required=True, help="BENCH_<n>.json to write or merge into")
+    args = parser.parse_args(argv)
+    if args.pairs < 1 or (args.trace and args.pairs != 1):
+        parser.error("--pairs must be at least 1, and exactly 1 with --trace 1")
+
+    trees = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
+    for tree in trees.values():
+        if not (tree / "perfbench" / "run.py").is_file():
+            parser.error(f"{tree} holds no perfbench/run.py")
+    spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    key = args.key or args.workload
+
+    out = Path(args.out)
+    doc = json.loads(out.read_text()) if out.is_file() else {}
+    doc["machine"] = machine()
+    doc.setdefault("what", (
+        f"perfbench/run.py --trace 0 --seconds {args.seconds:g}, parent commit and "
+        "change, each run from its own copy of the source tree, alternating which "
+        "side runs first in each pair; one JSON object per run as run.py prints it "
+        "on its last line; summary gives median and quartiles over the pairs; "
+        "traced holds one --trace 1 run per side"))
+
+    if args.trace:
+        pair = run_pair(trees, args.workload, args.seed_base, args.seconds, 1, "parent")
+        doc.setdefault("traced", {})[key] = {side: pair[side] for side in SIDES}
+    else:
+        record = doc.setdefault("workloads", {}).setdefault(key, {"pairs": []})
+        start = len(record["pairs"])
+        for i in range(args.pairs):
+            first = SIDES[(start + i) % 2]
+            record["pairs"].append(run_pair(trees, args.workload, args.seed_base + start + i,
+                                            args.seconds, 0, first))
+            record["summary"] = summarize(record["pairs"], better)
+            out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        wall = record["summary"].get("wall_s")
+        if wall:
+            print(f"# {key} wall_s median {wall['parent']['median']:.4f} -> "
+                  f"{wall['change']['median']:.4f} ({wall.get('ratio', 0):.3f}x), change "
+                  f"better in {wall['change_better_pairs']}/{wall['pairs']} pairs")
+    out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -4,7 +4,9 @@ Subcommands:
     run-market   integrate the coupled model, write figure-ready CSV data
     run-ladder   run one verification stage against its analytic oracle
     price-call   closed-form European call price
-    sweep        fan independent seeded runs out across worker threads
+    sweep        independent seeded runs on worker threads (default 1; the
+                 runs share one interpreter lock, so more workers add no
+                 speed at these sizes)
 
 Exit codes: 0 success, 1 usage or configuration error, 2 integration
 failure, 3 oracle tolerance failure, 4 outputs could not be written.
@@ -548,7 +550,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="config file shared by all runs")
     p.add_argument("--out", required=True, help="parent output directory")
     p.add_argument("--seeds", required=True, help="comma-separated seed list")
-    p.add_argument("--workers", type=int, default=4)
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker threads (default 1; the runs share one interpreter "
+                        "lock, so more workers add no speed at these sizes)")
     p.set_defaults(func=_cmd_sweep)
 
     return parser

@@ -85,7 +85,11 @@ def second_difference(field: np.ndarray, grid: Grid, policy: BoundaryPolicy) -> 
     if policy is BoundaryPolicy.PERIODIC:
         # one wrap-padded copy [f[-1], f..., f[0]] gives both neighbours as slices
         padded = field.take(grid.wrap_index, axis=-1)
-        return (padded[..., 2:] - 2.0 * field + padded[..., :-2]) * inv_ds2
+        # (f[k+1] - 2 f[k] + f[k-1]) * inv_ds2 in that order, in one buffer
+        out = padded[..., 2:] - 2.0 * field
+        out += padded[..., :-2]
+        out *= inv_ds2
+        return out
     out = np.zeros(field.shape, dtype=np.result_type(field, np.float64))
     out[..., 1:-1] = (field[..., 2:] - 2.0 * field[..., 1:-1] + field[..., :-2]) * inv_ds2
     if policy is BoundaryPolicy.ZERO_FLUX:

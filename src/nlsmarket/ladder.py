@@ -24,10 +24,17 @@ from .integrator import OdeSystem
 Potential = Union[float, np.ndarray]
 
 
-def potential_values(v: Potential, grid: Grid) -> np.ndarray:
-    """Resolve a constant or tabulated per-node potential to node values."""
+def potential_values(v: Potential, grid: Grid) -> Potential:
+    """Resolve a potential to what multiplies a field node by node.
+
+    A constant stays a scalar and comes back as a Python float: multiplying
+    a field by it is the same IEEE operation on every node as multiplying
+    by np.full(grid.n, v), without building that array on every call. A
+    tabulated potential is checked against the grid (length n, all finite)
+    and comes back as a float array.
+    """
     if np.isscalar(v):
-        return np.full(grid.n, float(v))
+        return float(v)
     v = np.asarray(v, dtype=float)
     if v.shape != (grid.n,):
         raise ValueError(f"tabulated potential length {v.shape} does not match grid n={grid.n}")
@@ -49,16 +56,25 @@ def unpack_complex(vec: np.ndarray) -> np.ndarray:
     return np.array(vec, dtype=np.float64, order="C").view(np.complex128)
 
 
+# The right-hand sides below keep each expression's operation order and
+# reuse the fresh array of the first operation, so their results match the
+# plain expression bit for bit without a temporary per operator.
+
+
 def heat_rhs(field: np.ndarray, grid: Grid, policy: BoundaryPolicy) -> np.ndarray:
     """Diffusion with coefficient one half: (1/2) d2f/dx2."""
-    return 0.5 * second_difference(field, grid, policy)
+    out = second_difference(field, grid, policy)
+    out *= 0.5
+    return out
 
 
 def heat_potential_rhs(
     field: np.ndarray, grid: Grid, policy: BoundaryPolicy, v: Potential
 ) -> np.ndarray:
     """Diffusion plus a multiplicative potential term: (1/2) d2f/dx2 + V f."""
-    return heat_rhs(field, grid, policy) + potential_values(v, grid) * field
+    out = heat_rhs(field, grid, policy)
+    out += potential_values(v, grid) * field
+    return out
 
 
 def linear_schrodinger_rhs(
@@ -66,14 +82,22 @@ def linear_schrodinger_rhs(
 ) -> np.ndarray:
     """df/dt = i [ (1/2) d2f/dx2 - V f ]."""
     field = np.asarray(field, dtype=complex)
-    return 1j * (0.5 * second_difference(field, grid, policy) - potential_values(v, grid) * field)
+    out = heat_rhs(field, grid, policy)
+    out -= potential_values(v, grid) * field
+    out *= 1j
+    return out
 
 
 def nls_rhs(field: np.ndarray, grid: Grid, policy: BoundaryPolicy, v: Potential) -> np.ndarray:
     """df/dt = i [ (1/2) d2f/dx2 - V |f|^2 f ] (cubic nonlinearity)."""
     field = np.asarray(field, dtype=complex)
-    cubic = potential_values(v, grid) * np.abs(field) ** 2 * field
-    return 1j * (0.5 * second_difference(field, grid, policy) - cubic)
+    cubic = np.abs(field)
+    cubic **= 2
+    cubic *= potential_values(v, grid)
+    out = heat_rhs(field, grid, policy)
+    out -= cubic * field
+    out *= 1j
+    return out
 
 
 def mass(field: np.ndarray, grid: Grid) -> float:
@@ -109,9 +133,17 @@ def energy(
 
 
 def complex_system(fn: Callable[[np.ndarray], np.ndarray], n: int) -> OdeSystem:
-    """Wrap an autonomous complex-field map into a packed real ODE system."""
+    """Wrap an autonomous complex-field map into a packed real ODE system.
+
+    The packed state, a contiguous float64 vector as the integrator passes
+    it, is handed to ``fn`` as its complex128 view, and the map's
+    complex128 result comes back as its float64 view, so a call copies
+    nothing. That relies on the OdeSystem contract, which ``fn`` must keep
+    as well: it neither keeps nor mutates its argument (the view shares the
+    integrator's stage buffer) and returns a fresh array.
+    """
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return pack_complex(fn(unpack_complex(y)))
+        return fn(y.view(np.complex128)).view(np.float64)
 
     return OdeSystem(dimension=2 * n, rhs=rhs)

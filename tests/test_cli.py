@@ -12,6 +12,7 @@ from nlsmarket.cli import (
     MARKET_FILES,
     OutputSet,
     _fmt,
+    build_parser,
     config_from_values,
     config_pairs,
     load_config,
@@ -306,6 +307,12 @@ def test_sweep_rejects_worker_count_below_one(workers, tmp_path, capsys):
     assert rc == 1
     assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
+
+
+def test_sweep_runs_on_one_worker_by_default():
+    # the runs share one interpreter lock, so more threads only add contention
+    args = build_parser().parse_args(["sweep", "--out", "sw", "--seeds", "1,2"])
+    assert args.workers == 1
 
 
 def test_console_entry_point(tmp_path):

@@ -17,8 +17,9 @@ from nlsmarket import (
     pack_complex,
     unpack_complex,
 )
+from nlsmarket.ladder import potential_values
 
-from oracles import dense_second_difference, heat_kernel
+from oracles import dense_second_difference, heat_kernel, roll_second_difference
 
 PER = BoundaryPolicy.PERIODIC
 
@@ -245,3 +246,89 @@ def test_tabulated_potential_validated():
     tab = np.linspace(0.0, 1.0, 5)
     out = heat_potential_rhs(np.ones(5, dtype=complex), grid, PER, tab)
     assert np.allclose(out[1:-1], tab[1:-1], atol=1e-12)
+
+
+POTENTIAL_RHS = [heat_potential_rhs, linear_schrodinger_rhs, nls_rhs]
+POTENTIAL_IDS = [fn.__name__ for fn in POTENTIAL_RHS]
+
+
+def random_field(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+
+def test_scalar_potential_stays_a_float():
+    grid = make_grid(0.0, 1.0, 5)
+    for v in (1, -1.0, np.float32(0.5), np.float64(0.25)):
+        got = potential_values(v, grid)
+        assert type(got) is float and got == float(v)
+    tab = np.linspace(0.0, 1.0, 5)
+    assert np.array_equal(potential_values(tab, grid), tab)
+
+
+@pytest.mark.parametrize("n", [201, 801])
+@pytest.mark.parametrize("rhs", POTENTIAL_RHS, ids=POTENTIAL_IDS)
+def test_scalar_potential_matches_its_full_array_bit_for_bit(rhs, n):
+    grid = make_grid(-20.0, 20.0, n)
+    f = random_field(n, n)
+    for v in (1.0, -1.0, 0.37, -2.9e-3):
+        got = rhs(f, grid, PER, v)
+        tabulated = rhs(f, grid, PER, np.full(n, v))
+        assert got.dtype == tabulated.dtype == np.complex128
+        assert got.tobytes() == tabulated.tobytes()
+
+
+@pytest.mark.parametrize("n", [201, 801])
+def test_ladder_rhs_match_their_plain_expressions_bit_for_bit(n):
+    # each right-hand side written as one allocating expression in the
+    # library's operation order, with the np.roll stencil oracle
+    grid = make_grid(-20.0, 20.0, n)
+    f = random_field(n, n + 1)
+    lap = roll_second_difference(f, grid.ds)
+    v = np.full(n, -0.73)
+    expected = {
+        "heat": 0.5 * lap,
+        "heat-potential": 0.5 * lap + v * f,
+        "linear": 1j * (0.5 * lap - v * f),
+        "nls": 1j * (0.5 * lap - v * np.abs(f) ** 2 * f),
+    }
+    got = {
+        "heat": heat_rhs(f, grid, PER),
+        "heat-potential": heat_potential_rhs(f, grid, PER, -0.73),
+        "linear": linear_schrodinger_rhs(f, grid, PER, -0.73),
+        "nls": nls_rhs(f, grid, PER, -0.73),
+    }
+    for stage, value in expected.items():
+        assert got[stage].tobytes() == value.tobytes(), stage
+
+
+LADDER_MAPS = {
+    "heat": lambda f, g: heat_rhs(f, g, PER),
+    "heat-potential": lambda f, g: heat_potential_rhs(f, g, PER, 1.0),
+    "linear": lambda f, g: linear_schrodinger_rhs(f, g, PER, 1.0),
+    "nls": lambda f, g: nls_rhs(f, g, PER, -1.0),
+}
+
+
+@pytest.mark.parametrize("stage", sorted(LADDER_MAPS))
+def test_complex_system_hands_the_map_a_view_and_returns_a_fresh_array(stage):
+    grid = make_grid(-20.0, 20.0, 801)
+    seen = []
+
+    def fn(field):
+        seen.append(field)
+        return LADDER_MAPS[stage](field, grid)
+
+    system = complex_system(fn, grid.n)
+    y = pack_complex(random_field(grid.n, 3))
+    y.setflags(write=False)
+    before = y.copy()
+    out = system.rhs(0.0, y)
+    # the map sees the state itself, read-only, and leaves it unchanged
+    assert np.shares_memory(seen[0], y) and not seen[0].flags.writeable
+    assert y.tobytes() == before.tobytes()
+    # the result is a fresh packed vector, bit for bit the copying adapter's
+    assert out.dtype == np.float64 and out.shape == (2 * grid.n,)
+    assert not np.shares_memory(out, y)
+    expected = pack_complex(LADDER_MAPS[stage](unpack_complex(before), grid))
+    assert out.tobytes() == expected.tobytes()
