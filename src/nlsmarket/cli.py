@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import os
 import sys
 import time
+import typing
 import uuid
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -65,22 +66,16 @@ MARKET_FILES = (
 # config files: flat "key = value" text, unknown keys are hard errors
 # ----------------------------------------------------------------------
 
-_INT_KEYS = ("n", "seed", "max_steps")
-_FLOAT_KEYS = (
-    "r",
-    "c",
-    "s0",
-    "s1",
-    "t_end",
-    "abs_tol",
-    "rel_tol",
-    "h_init",
-    "h_min",
-    "h_max",
-    "safety",
-    "snapshot_stride",
+# One key per ModelConfig field, in field order, with ``control`` expanded in
+# place into the StepControl fields; names, types and defaults are the
+# dataclasses'. The one Optional key, h_max, reads and echoes None as "auto".
+_CONTROL_KEYS = tuple(f.name for f in dataclasses.fields(StepControl))
+CONFIG_KEYS = tuple(
+    key
+    for f in dataclasses.fields(ModelConfig)
+    for key in (_CONTROL_KEYS if f.name == "control" else (f.name,))
 )
-CONFIG_KEYS = _INT_KEYS + _FLOAT_KEYS
+_KEY_TYPES = {**typing.get_type_hints(ModelConfig), **typing.get_type_hints(StepControl)}
 
 
 def parse_config_text(text: str) -> Dict[str, object]:
@@ -99,35 +94,25 @@ def parse_config_text(text: str) -> Dict[str, object]:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate config key {key!r}")
-        if key == "h_max" and val == "auto":
-            # config_pairs echoes an unset h_max as "auto"
+        kind = _KEY_TYPES[key]
+        if val == "auto" and type(None) in typing.get_args(kind):
             values[key] = None
             continue
         try:
-            values[key] = int(val) if key in _INT_KEYS else float(val)
+            values[key] = int(val) if kind is int else float(val)
         except ValueError:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {val!r}") from None
     return values
 
 
 def config_from_values(values: Dict[str, object]) -> ModelConfig:
-    control_fields = {
-        "abs_tol": 1e-6,
-        "rel_tol": 1e-6,
-        "h_init": 1e-3,
-        "h_min": 1e-10,
-        "h_max": None,
-        "safety": 0.9,
-        "max_steps": 10_000_000,
-    }
-    model_fields: Dict[str, object] = {}
-    for key, val in values.items():
-        if key in control_fields:
-            control_fields[key] = val
-        else:
-            model_fields[key] = val
-    control = StepControl(**control_fields)
-    return ModelConfig(control=control, **model_fields)
+    """ModelConfig() with the given keys replaced; the rest keep their defaults."""
+    base = ModelConfig()
+    control = dataclasses.replace(
+        base.control, **{k: v for k, v in values.items() if k in _CONTROL_KEYS}
+    )
+    model = {k: v for k, v in values.items() if k not in _CONTROL_KEYS}
+    return dataclasses.replace(base, control=control, **model)
 
 
 def load_config(path: Optional[str]) -> ModelConfig:
@@ -141,25 +126,9 @@ def load_config(path: Optional[str]) -> ModelConfig:
 
 
 def config_pairs(config: ModelConfig) -> List[Tuple[str, object]]:
-    """Flat (key, value) echo of a config, config-file key names."""
-    ctl = config.control
-    return [
-        ("r", config.r),
-        ("c", config.c),
-        ("n", config.n),
-        ("s0", config.s0),
-        ("s1", config.s1),
-        ("t_end", config.t_end),
-        ("seed", config.seed),
-        ("abs_tol", ctl.abs_tol),
-        ("rel_tol", ctl.rel_tol),
-        ("h_init", ctl.h_init),
-        ("h_min", ctl.h_min),
-        ("h_max", "auto" if ctl.h_max is None else ctl.h_max),
-        ("safety", ctl.safety),
-        ("max_steps", ctl.max_steps),
-        ("snapshot_stride", config.snapshot_stride),
-    ]
+    """Flat (key, value) echo of a config in CONFIG_KEYS order."""
+    values = {**dataclasses.asdict(config), **dataclasses.asdict(config.control)}
+    return [(key, "auto" if values[key] is None else values[key]) for key in CONFIG_KEYS]
 
 
 # ----------------------------------------------------------------------
@@ -317,16 +286,13 @@ def run_market(config: ModelConfig, outdir: Path) -> int:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StageMetric:
-    name: str
-    value: float
-    threshold: float
-    location: str
+# integrator tolerances every stage runs at; the gate applies at the last
+TOLERANCES = (1e-6, 1e-8)
+PER = BoundaryPolicy.PERIODIC
 
-    @property
-    def passed(self) -> bool:
-        return self.value <= self.threshold
+# a stage runs at one integrator tolerance and returns its metrics as
+# (name, value, location) triples
+Metric = Tuple[str, float, str]
 
 
 def _integrate_field(rhs_fn, grid: Grid, field0: np.ndarray, t_end: float, tol: float,
@@ -338,79 +304,63 @@ def _integrate_field(rhs_fn, grid: Grid, field0: np.ndarray, t_end: float, tol: 
     return unpack_complex(y)
 
 
-def _stage_heat(tol: float, threshold: float) -> List[StageMetric]:
-    grid = make_grid(-10.0, 10.0, 401)
+def _peak(values: np.ndarray, at: Sequence[float], axis: str) -> Tuple[float, str]:
+    """The largest of values (the first, on a tie) and "axis=<where>"."""
+    k = int(np.argmax(values))
+    return float(values[k]), f"{axis}={at[k]:g}"
+
+
+def _stage_gaussian(n: int, v: float, t_end: float, tol: float) -> List[Metric]:
+    """A unit Gaussian under u_t = (1/2) u_xx + V u, against the exact
+    exp(Vt) (1+t)^-1/2 exp(-x^2 / (2 (1+t))); V = 0 is the plain heat
+    equation."""
+    grid = make_grid(-10.0, 10.0, n)
     x = grid.nodes
     u0 = np.exp(-(x**2) / 2.0).astype(complex)
-    u1 = _integrate_field(
-        lambda f: heat_rhs(f, grid, BoundaryPolicy.PERIODIC), grid, u0, 1.0, tol
-    )
-    exact = (1.0 + 1.0) ** -0.5 * np.exp(-(x**2) / (2.0 * (1.0 + 1.0)))
-    err = np.abs(u1.real - exact)
-    k = int(np.argmax(err))
-    return [StageMetric("max_error", float(err[k]), threshold, f"x={x[k]:g}")]
+    if v:
+        rhs = lambda f: heat_potential_rhs(f, grid, PER, v)
+    else:
+        rhs = lambda f: heat_rhs(f, grid, PER)
+    u1 = _integrate_field(rhs, grid, u0, t_end, tol)
+    exact = np.exp(v * t_end) * (1.0 + t_end) ** -0.5 * np.exp(-(x**2) / (2.0 * (1.0 + t_end)))
+    return [("max_error", *_peak(np.abs(u1.real - exact), x, "x"))]
 
 
-def _stage_heat_potential(tol: float, threshold: float) -> List[StageMetric]:
-    grid = make_grid(-10.0, 10.0, 501)
-    x = grid.nodes
-    u0 = np.exp(-(x**2) / 2.0).astype(complex)
-    t_end = 0.5
-    u1 = _integrate_field(
-        lambda f: heat_potential_rhs(f, grid, BoundaryPolicy.PERIODIC, 1.0),
-        grid, u0, t_end, tol,
-    )
-    exact = np.exp(t_end) * (1.0 + t_end) ** -0.5 * np.exp(-(x**2) / (2.0 * (1.0 + t_end)))
-    err = np.abs(u1.real - exact)
-    k = int(np.argmax(err))
-    return [StageMetric("max_error", float(err[k]), threshold, f"x={x[k]:g}")]
-
-
-def _stage_linear(tol: float, threshold: float) -> List[StageMetric]:
+def _stage_linear(tol: float) -> List[Metric]:
     grid = make_grid(-10.0, 10.0, 201)
-    x = grid.nodes
-    psi0 = np.exp(-(x**2) / 2.0).astype(complex)
+    psi0 = np.exp(-(grid.nodes**2) / 2.0).astype(complex)
     mass0 = mass(psi0, grid)
-    worst = {"drift": 0.0, "t": 0.0}
+    times, drifts = [0.0], [0.0]
 
     def watch(t, y):
-        drift = abs(mass(unpack_complex(y), grid) - mass0)
-        if drift > worst["drift"]:
-            worst["drift"] = drift
-            worst["t"] = t
+        times.append(t)
+        drifts.append(abs(mass(unpack_complex(y), grid) - mass0))
 
-    _integrate_field(
-        lambda f: linear_schrodinger_rhs(f, grid, BoundaryPolicy.PERIODIC, 1.0),
-        grid, psi0, 1.0, tol, observer=watch,
-    )
-    return [StageMetric("mass_drift", worst["drift"], threshold, f"t={worst['t']:g}")]
+    _integrate_field(lambda f: linear_schrodinger_rhs(f, grid, PER, 1.0), grid, psi0, 1.0,
+                     tol, observer=watch)
+    return [("mass_drift", *_peak(np.array(drifts), times, "t"))]
 
 
-def _stage_nls(tol: float, threshold: float) -> List[StageMetric]:
+def _stage_nls(tol: float) -> List[Metric]:
     grid = make_grid(-20.0, 20.0, 801)
     x = grid.nodes
     psi0 = (1.0 / np.cosh(x)).astype(complex)
     v = -1.0
     h0 = energy(psi0, grid, v)
-    psi1 = _integrate_field(
-        lambda f: nls_rhs(f, grid, BoundaryPolicy.PERIODIC, v), grid, psi0, 5.0, tol
-    )
-    dev = np.abs(np.abs(psi1) - np.abs(psi0))
-    k = int(np.argmax(dev))
+    psi1 = _integrate_field(lambda f: nls_rhs(f, grid, PER, v), grid, psi0, 5.0, tol)
     h1 = energy(psi1, grid, v)
-    drift = abs(h1 - h0) / abs(h0)
     return [
-        StageMetric("max_modulus_deviation", float(dev[k]), threshold, f"x={x[k]:g}"),
-        StageMetric("energy_drift_rel", drift, threshold, "t=5"),
+        ("max_modulus_deviation", *_peak(np.abs(np.abs(psi1) - np.abs(psi0)), x, "x")),
+        ("energy_drift_rel", abs(h1 - h0) / abs(h0), "t=5"),
     ]
 
 
-# stage name -> (runner, default oracle threshold, integrator tolerance ladder)
+# stage name -> (runner, default oracle threshold)
 STAGES = {
-    "heat": (_stage_heat, 1e-4, (1e-6, 1e-8)),
-    "heat-potential": (_stage_heat_potential, 1e-4, (1e-6, 1e-8)),
-    "linear": (_stage_linear, 1e-6, (1e-6, 1e-8)),
-    "nls": (_stage_nls, 1e-3, (1e-6, 1e-8)),
+    "heat": (functools.partial(_stage_gaussian, 401, 0.0, 1.0), 1e-4),
+    "heat-potential": (functools.partial(_stage_gaussian, 501, 1.0, 0.5), 1e-4),
+    "linear": (_stage_linear, 1e-6),
+    "nls": (_stage_nls, 1e-3),
 }
 
 
@@ -423,17 +373,14 @@ def run_ladder(stage: str, outdir: Path, threshold: Optional[float] = None,
     """
     if stage not in STAGES:
         raise ConfigError(f"unknown ladder stage {stage!r}; choose from {sorted(STAGES)}")
-    runner, default_threshold, default_ladder = STAGES[stage]
+    runner, default_threshold = STAGES[stage]
     gate = default_threshold if threshold is None else float(threshold)
-    ladder = tuple(tolerances) if tolerances else default_ladder
 
     rows = []
-    gate_metrics: List[StageMetric] = []
-    for tol in ladder:
-        metrics = runner(tol, gate)
-        for m in metrics:
-            rows.append([tol, m.name, m.value, m.threshold, str(m.passed).lower(), m.location])
-        gate_metrics = metrics
+    for tol in tolerances or TOLERANCES:
+        metrics = runner(tol)
+        rows += [[tol, name, value, gate, str(value <= gate).lower(), where]
+                 for name, value, where in metrics]
     header = ["tolerance", "metric", "value", "threshold", "passed", "location"]
     lines = [f"# schema={LADDER_SCHEMA}", f"# stage={stage}", ",".join(header)]
     for row in rows:
@@ -444,12 +391,10 @@ def run_ladder(stage: str, outdir: Path, threshold: Optional[float] = None,
     with OutputSet(outdir) as files:
         files.write(f"ladder_{stage}.csv", "\n".join(lines) + "\n")
 
-    failed = [m for m in gate_metrics if not m.passed]
-    for m in failed:
-        print(
-            f"stage {stage}: {m.name}={m.value:.6g} exceeds {m.threshold:g} at {m.location}",
-            file=sys.stderr,
-        )
+    # the metrics at the last tolerance of the ladder decide the exit code
+    failed = [(name, value, where) for name, value, where in metrics if not value <= gate]
+    for name, value, where in failed:
+        print(f"stage {stage}: {name}={value:.6g} exceeds {gate:g} at {where}", file=sys.stderr)
     return 3 if failed else 0
 
 
@@ -507,14 +452,15 @@ def _cmd_sweep(args) -> int:
     if repeated:
         # every seed writes to out/seed_<seed>, so a repeat would race itself
         raise ConfigError(f"--seeds repeats seed(s) {','.join(map(str, repeated))}")
+    # every config is checked before the first run writes anything
+    configs = [dataclasses.replace(config, seed=seed) for seed in seeds]
     out = Path(args.out)
 
-    def one(seed: int) -> int:
-        cfg = dataclasses.replace(config, seed=seed)
-        return run_market(cfg, out / f"seed_{seed}")
+    def one(cfg: ModelConfig) -> int:
+        return run_market(cfg, out / f"seed_{cfg.seed}")
 
     with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        codes = list(pool.map(one, seeds))
+        codes = list(pool.map(one, configs))
     return max(codes) if codes else 0
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import time as _time
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import List, Tuple
@@ -78,6 +77,8 @@ class ModelConfig:
             raise ConfigError(f"learning rate must be non-negative, got {self.c}")
         if self.n < 3:
             raise ConfigError(f"need at least 3 lines, got n={self.n}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.t_end < 0:
             raise ConfigError(f"horizon must be non-negative, got {self.t_end}")
         if self.snapshot_stride <= 0:
@@ -241,19 +242,19 @@ def init_state(config: ModelConfig) -> Tuple[MarketState, KernelParams]:
 class SimulationRecord:
     """Snapshots plus integrator statistics for one run.
 
-    Row j of every array belongs to times[j]. ``completed`` is False when
-    the record was cut short by an integration failure.
+    Row j of every array belongs to times[j]. ``sigma``, ``psi`` and ``w``
+    are views of one snapshot store whose rows are packed states (see
+    pack_state). ``completed`` is False when the record was cut short by an
+    integration failure.
     """
 
     config: ModelConfig
-    params: KernelParams
     times: np.ndarray
     sigma: np.ndarray
     psi: np.ndarray
     w: np.ndarray
     g: np.ndarray
     stats: StepStats
-    wall_seconds: float
     completed: bool
 
     @property
@@ -281,11 +282,12 @@ def run_simulation(config: ModelConfig) -> SimulationRecord:
 
     Snapshots are taken at every multiple of snapshot_stride and at t_end
     by integrating stride segments back to back, one integrate_adaptive
-    call each, so snapshot times are exact. Each segment after the first
-    starts from the step its predecessor's controller proposed
-    (``StepStats.next_h``); ``control.h_init`` applies to the first segment
-    only. Integration failures re-raise with the partial record attached
-    as ``err.record``.
+    call each, so snapshot times are exact. Each segment's end state is
+    written into the next row of one preallocated snapshot store. Each
+    segment after the first starts from the step its predecessor's
+    controller proposed (``StepStats.next_h``); ``control.h_init`` applies
+    to the first segment only. Integration failures re-raise with the
+    partial record attached as ``err.record``.
     """
     grid = make_grid(config.s0, config.s1, config.n)
     state, params = init_state(config)
@@ -297,26 +299,27 @@ def run_simulation(config: ModelConfig) -> SimulationRecord:
     system = OdeSystem(dimension=5 * n, rhs=rhs)
 
     times = _snapshot_times(config.t_end, config.snapshot_stride)
-    rows: List[MarketState] = []
+    store = np.empty((len(times), 5 * n))
+    store[0] = pack_state(state)
+    filled = 1
     stats = StepStats(next_h=config.control.h_init)
-    started = _time.perf_counter()
 
-    def record_rows(completed: bool) -> SimulationRecord:
+    def record(completed: bool) -> SimulationRecord:
+        rows = store[:filled]
+        fields = rows[:, : 4 * n].view(np.complex128)
+        sigma = fields[:, :n]
         return SimulationRecord(
             config=config,
-            params=params,
-            times=np.array([s.t for s in rows]),
-            sigma=np.array([s.sigma for s in rows]),
-            psi=np.array([s.psi for s in rows]),
-            w=np.array([s.w for s in rows]),
-            g=np.array([gaussian_kernels(s.t, modulus_sq(s.sigma), grid, params) for s in rows]),
+            times=np.array(times[:filled]),
+            sigma=sigma,
+            psi=fields[:, n:],
+            w=rows[:, 4 * n :],
+            g=np.array([gaussian_kernels(t, modulus_sq(s), grid, params)
+                        for t, s in zip(times, sigma)]),
             stats=stats,
-            wall_seconds=_time.perf_counter() - started,
             completed=completed,
         )
 
-    rows.append(state)
-    y = pack_state(state)
     budget = config.control.max_steps
     try:
         for t_prev, t_next in zip(times[:-1], times[1:]):
@@ -329,7 +332,7 @@ def run_simulation(config: ModelConfig) -> SimulationRecord:
             ctl = dataclasses.replace(config.control, max_steps=budget - used,
                                       h_init=stats.next_h)
             try:
-                y, seg_stats = integrate_adaptive(system, t_prev, t_next, y, ctl)
+                y, seg_stats = integrate_adaptive(system, t_prev, t_next, store[filled - 1], ctl)
             except IntegrationError as err:
                 if err.stats is not None:
                     stats.merge(err.stats)
@@ -342,10 +345,10 @@ def run_simulation(config: ModelConfig) -> SimulationRecord:
                 err.stats = stats
                 raise
             stats.merge(seg_stats)
-            state = unpack_state(y, n, t_next)
-            rows.append(state)
+            store[filled] = y
+            filled += 1
     except IntegrationError as err:
-        err.record = record_rows(completed=False)
+        err.record = record(completed=False)
         raise
 
-    return record_rows(completed=True)
+    return record(completed=True)

@@ -5,10 +5,11 @@ them as they happen). Gates are pinned: oracle agreement thresholds,
 conservation bounds, determinism, and wall-clock ceilings.
 
 Criterion 2 runs at n = 401, the resolution of the shipped heat stage
-(``cli._stage_heat``). The three-point stencil is second order: its
-leading error against the continuum kernel at t = 1 is ds**2 / (32 sqrt 2),
-which crosses the 1e-4 gate near n = 299, so a coarser grid would test the
-stencil's order rather than the heat stage. The n = 201 floor (2.21e-4)
+(the ``heat`` entry of ``cli.STAGES``, ``cli._stage_gaussian`` at V = 0).
+The three-point stencil is second order: its leading error against the
+continuum kernel at t = 1 is ds**2 / (32 sqrt 2), which crosses the 1e-4
+gate near n = 299, so a coarser grid would test the stencil's order rather
+than the heat stage. The n = 201 floor (2.21e-4)
 stays pinned by ``tests/test_ladder.py::test_heat_solution_vs_analytic_kernel``.
 """
 

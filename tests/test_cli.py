@@ -3,12 +3,16 @@ import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from nlsmarket import ConfigError, ModelConfig, StepControl
 from nlsmarket.cli import (
+    CONFIG_KEYS,
     MARKET_FILES,
     OutputSet,
     _fmt,
@@ -48,16 +52,76 @@ def test_parse_config_text():
         parse_config_text("just words\n")
 
 
-@pytest.mark.parametrize(
-    "cfg",
-    [ModelConfig(),
-     ModelConfig(n=12, seed=7, snapshot_stride=0.25,
-                 control=StepControl(abs_tol=1e-8, rel_tol=1e-7, h_max=0.05))],
-    ids=["default", "explicit-h_max"],
-)
+# finite and positive, from subnormal to near the top of the float range
+positive = st.floats(min_value=5e-324, max_value=1e300)
+
+
+@st.composite
+def valid_configs(draw):
+    """ModelConfigs that pass validation, each key drawn on its own."""
+    h_min, h_init, h_max = sorted(draw(st.lists(positive, min_size=3, max_size=3)))
+    stride = draw(positive)
+    s0 = draw(st.floats(min_value=-1e300, max_value=1e300))
+    s1 = s0 + draw(positive)
+    assume(s1 > s0)
+    control = StepControl(
+        abs_tol=draw(positive),
+        rel_tol=draw(positive),
+        h_init=h_init,
+        h_min=h_min,
+        h_max=draw(st.sampled_from([None, h_max])),
+        safety=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        max_steps=draw(st.integers(min_value=1, max_value=2**63)),
+    )
+    return ModelConfig(
+        r=draw(st.floats(min_value=0.0, max_value=1e300)),
+        c=draw(st.floats(min_value=0.0, max_value=1e300)),
+        n=draw(st.integers(min_value=3, max_value=500)),
+        s0=s0,
+        s1=s1,
+        # at most 1e4 strides, so snapshots x lines stays under the cell limit
+        t_end=draw(st.floats(min_value=0.0, max_value=1e4)) * stride,
+        seed=draw(st.integers(min_value=0, max_value=2**64)),
+        control=control,
+        snapshot_stride=stride,
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(cfg=valid_configs())
+@example(cfg=ModelConfig())
+@example(cfg=ModelConfig(n=12, seed=7, snapshot_stride=0.25,
+                         control=StepControl(abs_tol=1e-8, rel_tol=1e-7, h_max=0.05)))
 def test_config_echo_parses_back_to_the_same_config(cfg):
     echo = "".join(f"{key} = {value}\n" for key, value in config_pairs(cfg))
     assert config_from_values(parse_config_text(echo)) == cfg
+
+
+def test_readme_config_block_lists_every_key_in_order():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Config files", 1)[1]
+    block = section.split("```", 2)[1]
+    keys = [line.split("=", 1)[0].strip() for line in block.splitlines() if "=" in line]
+    assert tuple(keys) == CONFIG_KEYS
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["run-market", "--config", "{bad}", "--out", "{out}"],
+     ["run-market", "--config", "{cfg}", "--seed", "-1", "--out", "{out}"],
+     ["sweep", "--config", "{cfg}", "--seeds", "1,-2", "--out", "{out}"]],
+    ids=["config", "seed-flag", "sweep"],
+)
+def test_negative_seed_is_config_error(argv, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("t_end = 1\n")
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("t_end = 1\nseed = -1\n")
+    out = tmp_path / "out"
+    assert main([a.format(cfg=cfg, bad=bad, out=out) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed must be non-negative" in err
+    assert not out.exists()
 
 
 def test_absurd_horizon_fails_fast(tmp_path, capsys):

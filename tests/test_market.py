@@ -284,6 +284,8 @@ def test_config_validation():
         ModelConfig(t_end=-1.0)
     with pytest.raises(ConfigError):
         ModelConfig(snapshot_stride=0.0)
+    with pytest.raises(ConfigError, match="seed must be non-negative"):
+        ModelConfig(seed=-1)
 
 
 def test_output_size_is_bounded_before_integrating():
@@ -411,3 +413,28 @@ def test_budget_failure_attaches_partial_record():
     assert not rec.completed
     assert len(rec.times) >= 1
     assert rec.stats.accepted + rec.stats.rejected == 25
+
+
+def test_partial_record_rows_agree():
+    # a budget failure some segments in: every array holds the filled rows only
+    cfg = ModelConfig(t_end=20.0, control=StepControl(abs_tol=1e-6, rel_tol=1e-6, max_steps=300))
+    with pytest.raises(StepBudgetError) as exc:
+        run_simulation(cfg)
+    rec = exc.value.record
+    rows = len(rec.times)
+    assert 1 < rows < len(_snapshot_times(cfg.t_end, cfg.snapshot_stride))
+    assert np.array_equal(rec.times, np.arange(rows, dtype=float))
+    for block in (rec.sigma, rec.psi, rec.w, rec.g):
+        assert block.shape == (rows, cfg.n)
+    # the uniform start's exact solution: |sigma|^2 = 1/16 and psi = exp(-i(1+r)t)
+    assert np.max(np.abs(rec.sigma_pdf - 0.0625)) < 1e-9  # measured 1.4e-11
+    psi_exact = np.exp(-1j * (1.0 + cfg.r) * rec.times)[:, None]
+    assert np.max(np.abs(rec.psi - psi_exact)) < 1e-6  # measured 3.0e-8
+    # the budget does not alter the steps, so the rows are the unbounded run's
+    full = run_simulation(ModelConfig(t_end=20.0))
+    for name in ("sigma", "psi", "w", "g"):
+        assert np.array_equal(getattr(rec, name), getattr(full, name)[:rows])
+    grid = make_grid(cfg.s0, cfg.s1, cfg.n)
+    _, params = init_state(cfg)
+    g = [gaussian_kernels(t, modulus_sq(s), grid, params) for t, s in zip(rec.times, rec.sigma)]
+    assert np.array_equal(rec.g, g)
