@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nlsmarket import ConfigError, ModelConfig, StepControl
@@ -87,14 +87,26 @@ def valid_configs(draw):
     )
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(cfg=valid_configs())
-@example(cfg=ModelConfig())
-@example(cfg=ModelConfig(n=12, seed=7, snapshot_stride=0.25,
-                         control=StepControl(abs_tol=1e-8, rel_tol=1e-7, h_max=0.05)))
-def test_config_echo_parses_back_to_the_same_config(cfg):
+def assert_echo_round_trips(cfg):
     echo = "".join(f"{key} = {value}\n" for key, value in config_pairs(cfg))
     assert config_from_values(parse_config_text(echo)) == cfg
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [ModelConfig(),
+     ModelConfig(n=12, seed=7, snapshot_stride=0.25,
+                 control=StepControl(abs_tol=1e-8, rel_tol=1e-7, h_max=0.05))],
+    ids=["default", "explicit-h_max"],
+)
+def test_config_echo_parses_back_to_the_same_config(cfg):
+    assert_echo_round_trips(cfg)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(cfg=valid_configs())
+def test_config_echo_round_trips_any_valid_config(cfg):
+    assert_echo_round_trips(cfg)
 
 
 def test_readme_config_block_lists_every_key_in_order():
