@@ -14,7 +14,7 @@ from .errors import (
     StepBudgetError,
     StiffnessError,
 )
-from .grid import BoundaryPolicy, Grid, make_grid, second_difference
+from .grid import Grid, make_grid, second_difference
 from .integrator import (
     OdeSystem,
     StepControl,
@@ -52,7 +52,6 @@ from .reference import VanillaCall, call_price, std_normal_cdf
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundaryPolicy",
     "ConfigError",
     "Grid",
     "IntegrationError",

@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import functools
 import hashlib
+import math
 import os
 import sys
 import time
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, IntegrationError
-from .grid import BoundaryPolicy, Grid, make_grid
+from .grid import Grid, make_grid
 from .integrator import StepControl, integrate_adaptive
 from .ladder import (
     complex_system,
@@ -288,7 +289,6 @@ def run_market(config: ModelConfig, outdir: Path) -> int:
 
 # integrator tolerances every stage runs at; the gate applies at the last
 TOLERANCES = (1e-6, 1e-8)
-PER = BoundaryPolicy.PERIODIC
 
 # a stage runs at one integrator tolerance and returns its metrics as
 # (name, value, location) triples
@@ -318,9 +318,9 @@ def _stage_gaussian(n: int, v: float, t_end: float, tol: float) -> List[Metric]:
     x = grid.nodes
     u0 = np.exp(-(x**2) / 2.0).astype(complex)
     if v:
-        rhs = lambda f: heat_potential_rhs(f, grid, PER, v)
+        rhs = lambda f: heat_potential_rhs(f, grid, v)
     else:
-        rhs = lambda f: heat_rhs(f, grid, PER)
+        rhs = lambda f: heat_rhs(f, grid)
     u1 = _integrate_field(rhs, grid, u0, t_end, tol)
     exact = np.exp(v * t_end) * (1.0 + t_end) ** -0.5 * np.exp(-(x**2) / (2.0 * (1.0 + t_end)))
     return [("max_error", *_peak(np.abs(u1.real - exact), x, "x"))]
@@ -336,8 +336,8 @@ def _stage_linear(tol: float) -> List[Metric]:
         times.append(t)
         drifts.append(abs(mass(unpack_complex(y), grid) - mass0))
 
-    _integrate_field(lambda f: linear_schrodinger_rhs(f, grid, PER, 1.0), grid, psi0, 1.0,
-                     tol, observer=watch)
+    _integrate_field(lambda f: linear_schrodinger_rhs(f, grid, 1.0), grid, psi0, 1.0, tol,
+                     observer=watch)
     return [("mass_drift", *_peak(np.array(drifts), times, "t"))]
 
 
@@ -347,7 +347,7 @@ def _stage_nls(tol: float) -> List[Metric]:
     psi0 = (1.0 / np.cosh(x)).astype(complex)
     v = -1.0
     h0 = energy(psi0, grid, v)
-    psi1 = _integrate_field(lambda f: nls_rhs(f, grid, PER, v), grid, psi0, 5.0, tol)
+    psi1 = _integrate_field(lambda f: nls_rhs(f, grid, v), grid, psi0, 5.0, tol)
     h1 = energy(psi1, grid, v)
     return [
         ("max_modulus_deviation", *_peak(np.abs(np.abs(psi1) - np.abs(psi0)), x, "x")),
@@ -364,20 +364,23 @@ STAGES = {
 }
 
 
-def run_ladder(stage: str, outdir: Path, threshold: Optional[float] = None,
-               tolerances: Optional[Sequence[float]] = None) -> int:
-    """Run one verification stage over its tolerance ladder, write a report.
+def run_ladder(stage: str, outdir: Path, threshold: Optional[float] = None) -> int:
+    """Run one verification stage at each of TOLERANCES, write a report.
 
     The gate is the stage's oracle threshold applied at the tightest
-    integrator tolerance; ``threshold`` overrides the default gate.
+    integrator tolerance; ``threshold`` overrides the default gate and must
+    be finite and positive.
     """
     if stage not in STAGES:
         raise ConfigError(f"unknown ladder stage {stage!r}; choose from {sorted(STAGES)}")
     runner, default_threshold = STAGES[stage]
     gate = default_threshold if threshold is None else float(threshold)
+    # a NaN gate fails every metric and an infinite one passes every metric
+    if not (gate > 0 and math.isfinite(gate)):
+        raise ConfigError(f"oracle threshold must be finite and positive, got {gate:g}")
 
     rows = []
-    for tol in tolerances or TOLERANCES:
+    for tol in TOLERANCES:
         metrics = runner(tol)
         rows += [[tol, name, value, gate, str(value <= gate).lower(), where]
                  for name, value, where in metrics]
@@ -417,12 +420,7 @@ def _cmd_run_market(args) -> int:
 
 
 def _cmd_run_ladder(args) -> int:
-    tolerances = None
-    if args.config is not None:
-        ctl = load_config(args.config).control
-        tolerances = (ctl.abs_tol,)
-    return run_ladder(args.stage, Path(args.out), threshold=args.tolerance,
-                      tolerances=tolerances)
+    return run_ladder(args.stage, Path(args.out), threshold=args.tolerance)
 
 
 def _cmd_price_call(args) -> int:
@@ -479,8 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run-ladder", help="run a verification stage against its oracle")
     p.add_argument("--stage", required=True, choices=sorted(STAGES))
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--config", help="config file; its abs_tol becomes the integrator tolerance")
-    p.add_argument("--tolerance", type=float, help="override the stage's oracle threshold")
+    p.add_argument("--tolerance", type=float,
+                   help="override the stage's oracle threshold (finite, positive)")
     p.set_defaults(func=_cmd_run_ladder)
 
     p = sub.add_parser("price-call", help="closed-form European call price")

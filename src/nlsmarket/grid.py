@@ -1,31 +1,13 @@
-"""Uniform stock-price grid and second-difference (Laplacian) stencils."""
+"""Uniform stock-price grid and its periodic second-difference (Laplacian) stencil."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError
-
-
-class BoundaryPolicy(Enum):
-    """End-node treatment for the second-difference stencil.
-
-    PERIODIC wraps the neighbour indices modulo n. For equal end values
-    this makes the time derivative at both ends identical by construction,
-    which is how the repeatable boundary condition of the coupled market
-    model is realized. FIXED_VALUE pins the end nodes (their stencil rows
-    are zero, so whatever the initial profile put there stays). ZERO_FLUX
-    mirrors the adjacent interior node into a ghost node, enforcing a
-    vanishing first derivative at the wall.
-    """
-
-    PERIODIC = "periodic"
-    FIXED_VALUE = "fixed-value"
-    ZERO_FLUX = "zero-flux"
 
 
 @dataclass(frozen=True)
@@ -70,30 +52,24 @@ def make_grid(s0: float, s1: float, n: int) -> Grid:
     return Grid(s0=float(s0), s1=float(s1), n=int(n), ds=ds, nodes=nodes)
 
 
-def second_difference(field: np.ndarray, grid: Grid, policy: BoundaryPolicy) -> np.ndarray:
-    """Centered second difference (f[k+1] - 2 f[k] + f[k-1]) / ds**2.
+def second_difference(field: np.ndarray, grid: Grid) -> np.ndarray:
+    """Periodic centered second difference (f[k+1] - 2 f[k] + f[k-1]) / ds**2.
 
-    Acts along the last axis, whose length must be grid.n, so a stack of
-    fields is differenced in one call. Interior nodes always use the
-    three-point stencil; the two end nodes follow ``policy``. Works on real
-    or complex fields.
+    Neighbour indices wrap modulo n. For equal end values this makes the
+    time derivative at both ends identical by construction, which is how
+    the repeatable boundary condition of the coupled market model is
+    realized. Acts along the last axis, whose length must be grid.n, so a
+    stack of fields is differenced in one call. Works on real or complex
+    fields.
     """
     field = np.asarray(field)
     if field.shape[-1:] != (grid.n,):
         raise ValueError(f"field length {field.shape} does not match grid n={grid.n}")
     inv_ds2 = 1.0 / grid.ds**2
-    if policy is BoundaryPolicy.PERIODIC:
-        # one wrap-padded copy [f[-1], f..., f[0]] gives both neighbours as slices
-        padded = field.take(grid.wrap_index, axis=-1)
-        # (f[k+1] - 2 f[k] + f[k-1]) * inv_ds2 in that order, in one buffer
-        out = padded[..., 2:] - 2.0 * field
-        out += padded[..., :-2]
-        out *= inv_ds2
-        return out
-    out = np.zeros(field.shape, dtype=np.result_type(field, np.float64))
-    out[..., 1:-1] = (field[..., 2:] - 2.0 * field[..., 1:-1] + field[..., :-2]) * inv_ds2
-    if policy is BoundaryPolicy.ZERO_FLUX:
-        # ghost nodes mirror the first interior neighbour
-        out[..., 0] = 2.0 * (field[..., 1] - field[..., 0]) * inv_ds2
-        out[..., -1] = 2.0 * (field[..., -2] - field[..., -1]) * inv_ds2
+    # one wrap-padded copy [f[-1], f..., f[0]] gives both neighbours as slices
+    padded = field.take(grid.wrap_index, axis=-1)
+    # (f[k+1] - 2 f[k] + f[k-1]) * inv_ds2 in that order, in one buffer
+    out = padded[..., 2:] - 2.0 * field
+    out += padded[..., :-2]
+    out *= inv_ds2
     return out

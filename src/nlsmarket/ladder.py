@@ -14,33 +14,12 @@ bit-exactly.
 
 from __future__ import annotations
 
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
-from .grid import BoundaryPolicy, Grid, second_difference
+from .grid import Grid, second_difference
 from .integrator import OdeSystem
-
-Potential = Union[float, np.ndarray]
-
-
-def potential_values(v: Potential, grid: Grid) -> Potential:
-    """Resolve a potential to what multiplies a field node by node.
-
-    A constant stays a scalar and comes back as a Python float: multiplying
-    a field by it is the same IEEE operation on every node as multiplying
-    by np.full(grid.n, v), without building that array on every call. A
-    tabulated potential is checked against the grid (length n, all finite)
-    and comes back as a float array.
-    """
-    if np.isscalar(v):
-        return float(v)
-    v = np.asarray(v, dtype=float)
-    if v.shape != (grid.n,):
-        raise ValueError(f"tabulated potential length {v.shape} does not match grid n={grid.n}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("tabulated potential contains non-finite entries")
-    return v
 
 
 def pack_complex(field: np.ndarray) -> np.ndarray:
@@ -58,43 +37,41 @@ def unpack_complex(vec: np.ndarray) -> np.ndarray:
 
 # The right-hand sides below keep each expression's operation order and
 # reuse the fresh array of the first operation, so their results match the
-# plain expression bit for bit without a temporary per operator.
+# plain expression bit for bit without a temporary per operator. The
+# potential V is a constant: multiplying by the float is the same IEEE
+# operation on every node as multiplying by np.full(grid.n, V).
 
 
-def heat_rhs(field: np.ndarray, grid: Grid, policy: BoundaryPolicy) -> np.ndarray:
+def heat_rhs(field: np.ndarray, grid: Grid) -> np.ndarray:
     """Diffusion with coefficient one half: (1/2) d2f/dx2."""
-    out = second_difference(field, grid, policy)
+    out = second_difference(field, grid)
     out *= 0.5
     return out
 
 
-def heat_potential_rhs(
-    field: np.ndarray, grid: Grid, policy: BoundaryPolicy, v: Potential
-) -> np.ndarray:
+def heat_potential_rhs(field: np.ndarray, grid: Grid, v: float) -> np.ndarray:
     """Diffusion plus a multiplicative potential term: (1/2) d2f/dx2 + V f."""
-    out = heat_rhs(field, grid, policy)
-    out += potential_values(v, grid) * field
+    out = heat_rhs(field, grid)
+    out += v * field
     return out
 
 
-def linear_schrodinger_rhs(
-    field: np.ndarray, grid: Grid, policy: BoundaryPolicy, v: Potential
-) -> np.ndarray:
+def linear_schrodinger_rhs(field: np.ndarray, grid: Grid, v: float) -> np.ndarray:
     """df/dt = i [ (1/2) d2f/dx2 - V f ]."""
     field = np.asarray(field, dtype=complex)
-    out = heat_rhs(field, grid, policy)
-    out -= potential_values(v, grid) * field
+    out = heat_rhs(field, grid)
+    out -= v * field
     out *= 1j
     return out
 
 
-def nls_rhs(field: np.ndarray, grid: Grid, policy: BoundaryPolicy, v: Potential) -> np.ndarray:
+def nls_rhs(field: np.ndarray, grid: Grid, v: float) -> np.ndarray:
     """df/dt = i [ (1/2) d2f/dx2 - V |f|^2 f ] (cubic nonlinearity)."""
     field = np.asarray(field, dtype=complex)
     cubic = np.abs(field)
     cubic **= 2
-    cubic *= potential_values(v, grid)
-    out = heat_rhs(field, grid, policy)
+    cubic *= v
+    out = heat_rhs(field, grid)
     out -= cubic * field
     out *= 1j
     return out
@@ -106,29 +83,16 @@ def mass(field: np.ndarray, grid: Grid) -> float:
     return float(np.sum(np.abs(field) ** 2).real * grid.ds)
 
 
-def energy(
-    field: np.ndarray,
-    grid: Grid,
-    v: Potential,
-    policy: BoundaryPolicy = BoundaryPolicy.PERIODIC,
-) -> float:
+def energy(field: np.ndarray, grid: Grid, v: float) -> float:
     """Discrete Hamiltonian: sum[ (1/2)|df/dx|^2 + (V/2)|f|^4 ] ds.
 
-    df/dx uses centered differences at interior nodes; end nodes wrap for
-    the periodic policy and fall back to one-sided differences otherwise.
+    df/dx uses centered differences with the periodic wrap at the ends.
     """
     field = np.asarray(field, dtype=complex)
     if field.shape != (grid.n,):
         raise ValueError(f"field length {field.shape} does not match grid n={grid.n}")
-    if policy is BoundaryPolicy.PERIODIC:
-        dpsi = (np.roll(field, -1) - np.roll(field, 1)) / (2.0 * grid.ds)
-    else:
-        dpsi = np.empty_like(field)
-        dpsi[1:-1] = (field[2:] - field[:-2]) / (2.0 * grid.ds)
-        dpsi[0] = (field[1] - field[0]) / grid.ds
-        dpsi[-1] = (field[-1] - field[-2]) / grid.ds
-    vv = potential_values(v, grid)
-    dens = 0.5 * np.abs(dpsi) ** 2 + 0.5 * vv * np.abs(field) ** 4
+    dpsi = (np.roll(field, -1) - np.roll(field, 1)) / (2.0 * grid.ds)
+    dens = 0.5 * np.abs(dpsi) ** 2 + 0.5 * v * np.abs(field) ** 4
     return float(np.sum(dens) * grid.ds)
 
 

@@ -30,7 +30,7 @@ from .errors import (
     StepBudgetError,
     reject_non_finite,
 )
-from .grid import BoundaryPolicy, Grid, make_grid, second_difference
+from .grid import Grid, make_grid, second_difference
 from .integrator import OdeSystem, StepControl, StepStats, integrate_adaptive
 from .ladder import pack_complex, unpack_complex
 
@@ -194,9 +194,7 @@ def coupled_rhs(
     q = z_sq.copy()
     q[0] *= v
     q[1] += config.r
-    bracket = grid.half_nodes_sq * z_sq[::-1] * second_difference(
-        z, grid, BoundaryPolicy.PERIODIC
-    )
+    bracket = grid.half_nodes_sq * z_sq[::-1] * second_difference(z, grid)
     bracket -= q * z
     np.multiply(bracket, 1j, out=dz)
     out[4 * n :] = hebbian_rhs(w, z[0], z[1], g, config.c)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, reject_non_finite
 
 
 @dataclass(frozen=True)
@@ -29,6 +29,7 @@ class VanillaCall:
     maturity: float = 1.0
 
     def __post_init__(self):
+        reject_non_finite(self)
         if self.spot <= 0:
             raise ConfigError(f"spot must be positive, got {self.spot}")
         if self.strike <= 0:

@@ -10,28 +10,16 @@ import math
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
-from nlsmarket.grid import BoundaryPolicy, second_difference
+from nlsmarket.grid import second_difference
 
 
-def dense_second_difference(n: int, ds: float, policy: BoundaryPolicy) -> np.ndarray:
-    """Explicit (n, n) matrix of the second-difference operator."""
+def dense_second_difference(n: int, ds: float) -> np.ndarray:
+    """Explicit (n, n) matrix of the periodic second-difference operator."""
     a = np.zeros((n, n))
-    for k in range(1, n - 1):
+    for k in range(n):
         a[k, k - 1] = 1.0
         a[k, k] = -2.0
-        a[k, k + 1] = 1.0
-    if policy is BoundaryPolicy.PERIODIC:
-        a[0, -1] = 1.0
-        a[0, 0] = -2.0
-        a[0, 1] = 1.0
-        a[-1, -2] = 1.0
-        a[-1, -1] = -2.0
-        a[-1, 0] = 1.0
-    elif policy is BoundaryPolicy.ZERO_FLUX:
-        a[0, 0] = -2.0
-        a[0, 1] = 2.0
-        a[-1, -2] = 2.0
-        a[-1, -1] = -2.0
+        a[k, (k + 1) % n] = 1.0
     return a / ds**2
 
 
@@ -58,8 +46,8 @@ def coupled_rhs_oracle(t, sigma, psi, w, grid, m, r, c):
     d = np.sum(grid.nodes * abs_sigma2) * grid.ds - 2.0 * np.sin(60.0 * t)
     g = np.exp(-((d * (1.0 - m)) ** 2))
     v = np.sum(w * g)
-    lap_sigma = second_difference(sigma, grid, BoundaryPolicy.PERIODIC)
-    lap_psi = second_difference(psi, grid, BoundaryPolicy.PERIODIC)
+    lap_sigma = second_difference(sigma, grid)
+    lap_psi = second_difference(psi, grid)
     d_sigma = 1j * (half_s2 * abs_psi2 * lap_sigma - v * abs_sigma2 * sigma)
     d_psi = 1j * (half_s2 * abs_sigma2 * lap_psi - abs_psi2 * psi - r * psi)
     d_w = -w + c * np.abs(sigma) * g * np.abs(psi)

@@ -19,7 +19,6 @@ import time
 import numpy as np
 
 from nlsmarket import (
-    BoundaryPolicy,
     ModelConfig,
     OdeSystem,
     StepControl,
@@ -42,8 +41,6 @@ from nlsmarket.cli import MARKET_FILES, main
 from nlsmarket.market import KernelParams, MarketState, gaussian_kernels
 
 from oracles import call_price_quadrature, heat_kernel
-
-PER = BoundaryPolicy.PERIODIC
 
 
 def check(num: int, ok: bool, detail: str) -> None:
@@ -70,7 +67,7 @@ def test_02_heat_stage_against_analytic_kernel():
     started = time.perf_counter()
     grid = make_grid(-10.0, 10.0, 401)
     u0 = np.exp(-(grid.nodes**2) / 2.0).astype(complex)
-    system = complex_system(lambda f: heat_rhs(f, grid, PER), grid.n)
+    system = complex_system(lambda f: heat_rhs(f, grid), grid.n)
     ctl = StepControl(abs_tol=1e-8, rel_tol=1e-8)
     y, _ = integrate_adaptive(system, 0.0, 1.0, pack_complex(u0), ctl)
     err = float(np.max(np.abs(unpack_complex(y).real - heat_kernel(grid.nodes, 1.0))))
@@ -91,7 +88,7 @@ def test_03_linear_schrodinger_mass_drift():
         nonlocal worst
         worst = max(worst, abs(mass(unpack_complex(y), grid) - mass0))
 
-    system = complex_system(lambda f: linear_schrodinger_rhs(f, grid, PER, 1.0), grid.n)
+    system = complex_system(lambda f: linear_schrodinger_rhs(f, grid, 1.0), grid.n)
     ctl = StepControl(abs_tol=1e-8, rel_tol=1e-8)
     integrate_adaptive(system, 0.0, 1.0, pack_complex(psi0), ctl, observer=watch)
     check(3, worst < 1e-6, f"mass drift {worst:.3e} < 1e-6 over [0, 1] at tolerance 1e-8")
@@ -102,7 +99,7 @@ def test_04_nls_soliton():
     psi0 = (1.0 / np.cosh(grid.nodes)).astype(complex)
     v = -1.0
     h0 = energy(psi0, grid, v)
-    system = complex_system(lambda f: nls_rhs(f, grid, PER, v), grid.n)
+    system = complex_system(lambda f: nls_rhs(f, grid, v), grid.n)
     ctl = StepControl(abs_tol=1e-8, rel_tol=1e-8)
     y, _ = integrate_adaptive(system, 0.0, 5.0, pack_complex(psi0), ctl)
     psi1 = unpack_complex(y)
@@ -187,8 +184,8 @@ def test_09_randomized_invariant_suites():
         grid = make_grid(0.0, float(n), n)
         a = rng.normal(size=n)
         b = rng.normal(size=n)
-        lhs = np.dot(a, second_difference(b, grid, PER))
-        rhs = np.dot(second_difference(a, grid, PER), b)
+        lhs = np.dot(a, second_difference(b, grid))
+        rhs = np.dot(second_difference(a, grid), b)
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
 
     # kernel range: 0 < g <= 1, over states at the model's operating
@@ -225,8 +222,8 @@ def test_09_randomized_invariant_suites():
         h = rng.normal(size=24) + 1j * rng.normal(size=24)
         a = complex(rng.normal(), rng.normal())
         b = complex(rng.normal(), rng.normal())
-        lhs = linear_schrodinger_rhs(a * f + b * h, grid, PER, 2.0)
-        rhs = a * linear_schrodinger_rhs(f, grid, PER, 2.0) + b * linear_schrodinger_rhs(h, grid, PER, 2.0)
+        lhs = linear_schrodinger_rhs(a * f + b * h, grid, 2.0)
+        rhs = a * linear_schrodinger_rhs(f, grid, 2.0) + b * linear_schrodinger_rhs(h, grid, 2.0)
         assert np.allclose(lhs, rhs, rtol=1e-11, atol=1e-11)
 
     elapsed = time.perf_counter() - started

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import re
 import subprocess
@@ -14,6 +15,7 @@ from nlsmarket import ConfigError, ModelConfig, StepControl
 from nlsmarket.cli import (
     CONFIG_KEYS,
     MARKET_FILES,
+    STAGES,
     OutputSet,
     _fmt,
     build_parser,
@@ -22,7 +24,6 @@ from nlsmarket.cli import (
     load_config,
     main,
     parse_config_text,
-    run_ladder,
     write_table,
 )
 
@@ -288,14 +289,12 @@ def test_fast_ladder_stages_pass(stage, tmp_path):
     assert all(",true," in row for row in gate_rows[-1:])
 
 
-def test_nls_ladder_stage_passes(tmp_path):
-    rc = run_ladder("nls", tmp_path, tolerances=(1e-8,))
-    assert rc == 0
-    report = (tmp_path / "ladder_nls.csv").read_text()
-    dev = float(
-        re.search(r"max_modulus_deviation,([0-9.e+-]+)", report).group(1)
-    )
-    assert dev < 1e-3
+def test_nls_ladder_stage_passes():
+    # the stage at its gated tolerance only, against its own threshold
+    runner, gate = STAGES["nls"]
+    metrics = {name: value for name, value, _ in runner(1e-8)}
+    assert all(value <= gate for value in metrics.values()), metrics
+    assert metrics["max_modulus_deviation"] < 1e-3
 
 
 def test_ladder_gate_override_forces_failure(tmp_path, capsys):
@@ -303,6 +302,14 @@ def test_ladder_gate_override_forces_failure(tmp_path, capsys):
     assert rc == 3
     err = capsys.readouterr().err
     assert "max_error" in err and "x=" in err  # failure names the location
+
+
+@pytest.mark.parametrize("gate", ["nan", "-1", "0", "inf"])
+def test_ladder_gate_must_be_finite_and_positive(gate, tmp_path, capsys):
+    rc = main(["run-ladder", "--stage", "heat", "--out", str(tmp_path), "--tolerance", gate])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not list(tmp_path.glob("ladder_*.csv"))
 
 
 def test_unknown_stage_is_usage_error(tmp_path):
@@ -328,9 +335,30 @@ def test_price_call_bad_params():
     assert rc == 1
 
 
-def test_usage_error_exit_code():
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--spot", "nan"), ("--spot", "inf"), ("--strike", "nan"), ("--rate", "nan"),
+     ("--sigma", "nan"), ("--valuation-time", "nan"), ("--maturity", "inf")],
+)
+def test_price_call_rejects_non_finite_input(flag, value, capsys):
+    args = {"--spot": "100", "--strike": "100", "--rate": "0.05", "--sigma": "0.2",
+            "--maturity": "1", "--valuation-time": "0", flag: value}
+    rc = main(["price-call", *[a for pair in args.items() for a in pair]])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "must be finite" in captured.err
+
+
+def test_usage_error_exit_code(tmp_path):
     assert main(["run-market"]) == 1
     assert main(["no-such-command"]) == 1
+    # run-ladder runs its own tolerance ladder and reads no config
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("abs_tol = 1e-7\n")
+    out = tmp_path / "out"
+    assert main(["run-ladder", "--stage", "heat", "--out", str(out), "--config", str(cfg)]) == 1
+    assert not out.exists()
 
 
 def test_sweep_runs_each_seed(tmp_path):
@@ -383,6 +411,28 @@ def test_sweep_rejects_worker_count_below_one(workers, tmp_path, capsys):
     assert rc == 1
     assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
+
+
+def _subcommands():
+    """Subcommand name -> its long options, --help aside."""
+    (action,) = [a for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: {opt for a in sub._actions for opt in a.option_strings
+               if opt.startswith("--") and opt != "--help"}
+        for name, sub in action.choices.items()
+    }
+
+
+@pytest.mark.parametrize("command", sorted(_subcommands()))
+def test_readme_command_line_shows_every_flag(command):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    usage = [line for line in block.splitlines() if line.startswith("nlsmarket ")]
+    assert sorted(line.split()[1] for line in usage) == sorted(_subcommands())
+    (line,) = [line for line in usage if line.split()[1] == command]
+    assert set(re.findall(r"--[a-z][a-z-]*", line)) == _subcommands()[command]
 
 
 def test_sweep_runs_on_one_worker_by_default():

@@ -20,7 +20,6 @@ from nlsmarket import (
     integrate_adaptive,
     make_grid,
 )
-from nlsmarket.grid import BoundaryPolicy
 from nlsmarket.integrator import (
     ERROR_WEIGHTS,
     LANDING_SLACK,
@@ -217,7 +216,7 @@ def nls_system_and_state():
     # the ladder's soliton stage: d = 1,602, where np.dot and np.matmul could
     # pick different kernels for the stage sums
     grid = make_grid(-20.0, 20.0, 801)
-    system = complex_system(lambda f: nls_rhs(f, grid, BoundaryPolicy.PERIODIC, -1.0), grid.n)
+    system = complex_system(lambda f: nls_rhs(f, grid, -1.0), grid.n)
     return system, pack_complex(1.0 / np.cosh(grid.nodes))
 
 

@@ -3,7 +3,6 @@ import pytest
 from scipy.linalg import expm
 
 from nlsmarket import (
-    BoundaryPolicy,
     StepControl,
     complex_system,
     energy,
@@ -17,11 +16,8 @@ from nlsmarket import (
     pack_complex,
     unpack_complex,
 )
-from nlsmarket.ladder import potential_values
 
 from oracles import dense_second_difference, heat_kernel, roll_second_difference
-
-PER = BoundaryPolicy.PERIODIC
 
 
 def evolve(rhs_fn, grid, field0, t_end, tol=1e-8, observer=None):
@@ -55,9 +51,11 @@ def test_pack_unpack_layout():
 
 def test_heat_rhs_trivial_cases():
     g = make_grid(0.0, 2.0, 3)  # ds = 1
-    assert np.all(heat_rhs(np.full(3, 2.0), g, PER) == 0.0)
-    spike = heat_rhs(np.array([0.0, 1.0, 0.0]), g, BoundaryPolicy.FIXED_VALUE)
+    assert np.all(heat_rhs(np.full(3, 2.0), g) == 0.0)
+    spike = heat_rhs(np.array([0.0, 1.0, 0.0]), g)
     assert spike[1] == -1.0
+    # the ends wrap: each sees the spike as one of its two neighbours
+    assert spike[0] == spike[2] == 0.5
 
 
 def test_heat_solution_vs_analytic_kernel():
@@ -68,9 +66,9 @@ def test_heat_solution_vs_analytic_kernel():
     grid = make_grid(-10.0, 10.0, 201)
     x = grid.nodes
     u0 = np.exp(-(x**2) / 2.0).astype(complex)
-    u1, _ = evolve(lambda f: heat_rhs(f, grid, PER), grid, u0, 1.0)
+    u1, _ = evolve(lambda f: heat_rhs(f, grid), grid, u0, 1.0)
 
-    dense = 0.5 * dense_second_difference(grid.n, grid.ds, PER)
+    dense = 0.5 * dense_second_difference(grid.n, grid.ds)
     semi_discrete = expm(dense) @ u0.real
     assert np.max(np.abs(u1.real - semi_discrete)) < 5e-7
 
@@ -84,7 +82,7 @@ def test_heat_decay_is_monotone():
     u0 = np.abs(rng.normal(size=101)) + 0.1
     peaks = [np.max(np.abs(u0))]
     evolve(
-        lambda f: heat_rhs(f, grid, PER), grid, u0.astype(complex), 0.5,
+        lambda f: heat_rhs(f, grid), grid, u0.astype(complex), 0.5,
         observer=lambda t, y: peaks.append(np.max(np.abs(unpack_complex(y)))),
     )
     for prev, cur in zip(peaks, peaks[1:]):
@@ -96,14 +94,14 @@ def test_heat_potential_reduces_to_heat():
     rng = np.random.default_rng(5)
     f = rng.normal(size=41).astype(complex)
     assert np.allclose(
-        heat_potential_rhs(f, grid, PER, 0.0), heat_rhs(f, grid, PER), atol=0
+        heat_potential_rhs(f, grid, 0.0), heat_rhs(f, grid), atol=0
     )
 
 
 def test_heat_potential_constant_field():
     grid = make_grid(-3.0, 3.0, 41)
     f = np.full(41, 2.0 + 0.0j)
-    out = heat_potential_rhs(f, grid, PER, 0.7)
+    out = heat_potential_rhs(f, grid, 0.7)
     assert np.allclose(out, 0.7 * 2.0, atol=1e-13)
 
 
@@ -113,14 +111,14 @@ def test_heat_potential_separable_solution():
     x = grid.nodes
     u0 = np.exp(-(x**2) / 2.0).astype(complex)
     t_end = 0.5
-    u1, _ = evolve(lambda f: heat_potential_rhs(f, grid, PER, 1.0), grid, u0, t_end)
+    u1, _ = evolve(lambda f: heat_potential_rhs(f, grid, 1.0), grid, u0, t_end)
     exact = np.exp(t_end) * heat_kernel(x, t_end)
     assert np.max(np.abs(u1.real - exact)) < 1e-4
 
 
 def test_linear_schrodinger_zero_field():
     grid = make_grid(-3.0, 3.0, 21)
-    out = linear_schrodinger_rhs(np.zeros(21, dtype=complex), grid, PER, 1.0)
+    out = linear_schrodinger_rhs(np.zeros(21, dtype=complex), grid, 1.0)
     assert np.all(out == 0.0)
 
 
@@ -132,9 +130,9 @@ def test_linear_schrodinger_is_linear():
         h = rng.normal(size=33) + 1j * rng.normal(size=33)
         a = complex(rng.normal(), rng.normal())
         b = complex(rng.normal(), rng.normal())
-        lhs = linear_schrodinger_rhs(a * f + b * h, grid, PER, 2.0)
-        rhs = a * linear_schrodinger_rhs(f, grid, PER, 2.0) + b * linear_schrodinger_rhs(
-            h, grid, PER, 2.0
+        lhs = linear_schrodinger_rhs(a * f + b * h, grid, 2.0)
+        rhs = a * linear_schrodinger_rhs(f, grid, 2.0) + b * linear_schrodinger_rhs(
+            h, grid, 2.0
         )
         assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
@@ -146,7 +144,7 @@ def test_plane_wave_modulus_is_stationary():
     grid = make_grid(0.0, float(n - 1), n)
     q = 2.0 * np.pi * 3.0 / (n * grid.ds)
     psi0 = np.exp(1j * q * grid.nodes)
-    psi1, _ = evolve(lambda f: linear_schrodinger_rhs(f, grid, PER, 0.0), grid, psi0, 1.0)
+    psi1, _ = evolve(lambda f: linear_schrodinger_rhs(f, grid, 0.0), grid, psi0, 1.0)
     assert np.max(np.abs(np.abs(psi1) - 1.0)) < 1e-7
     # analytic phase of the semi-discrete mode
     lam = -(4.0 / grid.ds**2) * np.sin(q * grid.ds / 2.0) ** 2
@@ -160,7 +158,7 @@ def test_linear_schrodinger_conserves_mass():
     mass0 = mass(psi0, grid)
     drifts = []
     evolve(
-        lambda f: linear_schrodinger_rhs(f, grid, PER, 1.0), grid, psi0, 1.0,
+        lambda f: linear_schrodinger_rhs(f, grid, 1.0), grid, psi0, 1.0,
         tol=1e-8,
         observer=lambda t, y: drifts.append(abs(mass(unpack_complex(y), grid) - mass0)),
     )
@@ -169,7 +167,7 @@ def test_linear_schrodinger_conserves_mass():
 
 def test_nls_zero_field():
     grid = make_grid(-3.0, 3.0, 21)
-    out = nls_rhs(np.zeros(21, dtype=complex), grid, PER, -1.0)
+    out = nls_rhs(np.zeros(21, dtype=complex), grid, -1.0)
     assert np.all(out == 0.0)
 
 
@@ -179,8 +177,8 @@ def test_nls_small_amplitude_reduces_to_linear():
     grid = make_grid(0.0, float(n - 1), n)
     q = 2.0 * np.pi * 80.0 / (n * grid.ds)
     f = 1e-6 * np.exp(1j * q * grid.nodes)
-    full = nls_rhs(f, grid, PER, -1.0)
-    diffusion = linear_schrodinger_rhs(f, grid, PER, 0.0)
+    full = nls_rhs(f, grid, -1.0)
+    diffusion = linear_schrodinger_rhs(f, grid, 0.0)
     rel = np.max(np.abs(full - diffusion)) / np.max(np.abs(diffusion))
     assert rel < 1e-12
 
@@ -194,7 +192,7 @@ def test_soliton_modulus_and_invariants():
     v = -1.0
     mass0 = mass(psi0, grid)
     h0 = energy(psi0, grid, v)
-    psi1, _ = evolve(lambda f: nls_rhs(f, grid, PER, v), grid, psi0, 5.0, tol=1e-8)
+    psi1, _ = evolve(lambda f: nls_rhs(f, grid, v), grid, psi0, 5.0, tol=1e-8)
 
     dev = np.max(np.abs(np.abs(psi1) - np.abs(psi0)))
     assert 1.7e-3 < dev < 2.0e-3
@@ -229,53 +227,9 @@ def test_energy_examples():
     assert energy(wave, g, 0.0) == pytest.approx(0.5 * q**2 * length, rel=1e-2)
 
 
-def test_energy_nonperiodic_boundary_rule():
-    grid = make_grid(0.0, 1.0, 5)
-    f = grid.nodes.astype(complex)  # df/dx = 1 everywhere incl. one-sided ends
-    got = energy(f, grid, 0.0, policy=BoundaryPolicy.FIXED_VALUE)
-    dens = 0.5 * 1.0 + 0.0
-    assert got == pytest.approx(dens * grid.n * grid.ds, rel=1e-12)
-
-
-def test_tabulated_potential_validated():
-    grid = make_grid(0.0, 1.0, 5)
-    with pytest.raises(ValueError):
-        heat_potential_rhs(np.zeros(5, dtype=complex), grid, PER, np.zeros(4))
-    with pytest.raises(ValueError):
-        heat_potential_rhs(np.zeros(5, dtype=complex), grid, PER, np.array([1.0, 2, 3, 4, np.nan]))
-    tab = np.linspace(0.0, 1.0, 5)
-    out = heat_potential_rhs(np.ones(5, dtype=complex), grid, PER, tab)
-    assert np.allclose(out[1:-1], tab[1:-1], atol=1e-12)
-
-
-POTENTIAL_RHS = [heat_potential_rhs, linear_schrodinger_rhs, nls_rhs]
-POTENTIAL_IDS = [fn.__name__ for fn in POTENTIAL_RHS]
-
-
 def random_field(n, seed):
     rng = np.random.default_rng(seed)
     return rng.normal(size=n) + 1j * rng.normal(size=n)
-
-
-def test_scalar_potential_stays_a_float():
-    grid = make_grid(0.0, 1.0, 5)
-    for v in (1, -1.0, np.float32(0.5), np.float64(0.25)):
-        got = potential_values(v, grid)
-        assert type(got) is float and got == float(v)
-    tab = np.linspace(0.0, 1.0, 5)
-    assert np.array_equal(potential_values(tab, grid), tab)
-
-
-@pytest.mark.parametrize("n", [201, 801])
-@pytest.mark.parametrize("rhs", POTENTIAL_RHS, ids=POTENTIAL_IDS)
-def test_scalar_potential_matches_its_full_array_bit_for_bit(rhs, n):
-    grid = make_grid(-20.0, 20.0, n)
-    f = random_field(n, n)
-    for v in (1.0, -1.0, 0.37, -2.9e-3):
-        got = rhs(f, grid, PER, v)
-        tabulated = rhs(f, grid, PER, np.full(n, v))
-        assert got.dtype == tabulated.dtype == np.complex128
-        assert got.tobytes() == tabulated.tobytes()
 
 
 @pytest.mark.parametrize("n", [201, 801])
@@ -293,20 +247,20 @@ def test_ladder_rhs_match_their_plain_expressions_bit_for_bit(n):
         "nls": 1j * (0.5 * lap - v * np.abs(f) ** 2 * f),
     }
     got = {
-        "heat": heat_rhs(f, grid, PER),
-        "heat-potential": heat_potential_rhs(f, grid, PER, -0.73),
-        "linear": linear_schrodinger_rhs(f, grid, PER, -0.73),
-        "nls": nls_rhs(f, grid, PER, -0.73),
+        "heat": heat_rhs(f, grid),
+        "heat-potential": heat_potential_rhs(f, grid, -0.73),
+        "linear": linear_schrodinger_rhs(f, grid, -0.73),
+        "nls": nls_rhs(f, grid, -0.73),
     }
     for stage, value in expected.items():
         assert got[stage].tobytes() == value.tobytes(), stage
 
 
 LADDER_MAPS = {
-    "heat": lambda f, g: heat_rhs(f, g, PER),
-    "heat-potential": lambda f, g: heat_potential_rhs(f, g, PER, 1.0),
-    "linear": lambda f, g: linear_schrodinger_rhs(f, g, PER, 1.0),
-    "nls": lambda f, g: nls_rhs(f, g, PER, -1.0),
+    "heat": lambda f, g: heat_rhs(f, g),
+    "heat-potential": lambda f, g: heat_potential_rhs(f, g, 1.0),
+    "linear": lambda f, g: linear_schrodinger_rhs(f, g, 1.0),
+    "nls": lambda f, g: nls_rhs(f, g, -1.0),
 }
 
 

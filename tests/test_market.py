@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from nlsmarket import (
-    BoundaryPolicy,
     ConfigError,
     KernelParams,
     MarketState,
@@ -226,7 +225,7 @@ def test_endpoint_derivatives_agree_under_wrap():
 
 def test_wrap_stencil_wiring():
     grid = make_grid(0.0, 1.0, 6)
-    dense = dense_second_difference(6, grid.ds, BoundaryPolicy.PERIODIC)
+    dense = dense_second_difference(6, grid.ds)
     scale = 1.0 / grid.ds**2
     assert dense[0, 5] == scale and dense[0, 0] == -2.0 * scale and dense[0, 1] == scale
     assert dense[5, 4] == scale and dense[5, 5] == -2.0 * scale and dense[5, 0] == scale
@@ -236,7 +235,7 @@ def test_wrap_stencil_wiring():
     for k in (0, 5):
         basis = np.zeros(6)
         basis[k] = 1.0
-        assert np.allclose(second_difference(basis, grid, BoundaryPolicy.PERIODIC), dense[:, k])
+        assert np.allclose(second_difference(basis, grid), dense[:, k])
 
 
 def test_init_state_values_and_seeding():
