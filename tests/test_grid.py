@@ -37,6 +37,15 @@ def test_constant_field_periodic_is_annihilated():
     assert np.all(second_difference(f, g) == 0.0)
 
 
+def test_spike_fixed_value_ends():
+    # equal end values give both ends the same derivative: each wraps to
+    # the other end and sees the spike as its other neighbour
+    g = make_grid(0.0, 2.0, 3)  # ds = 1
+    out = second_difference(np.array([0.0, 1.0, 0.0]), g)
+    assert out[1] == -2.0
+    assert out[0] == out[2] == 1.0
+
+
 def test_length_mismatch_rejected():
     g = make_grid(0.0, 1.0, 5)
     with pytest.raises(ValueError):
@@ -115,3 +124,15 @@ def test_periodic_operator_is_symmetric():
         lhs = np.dot(a, second_difference(b, g))
         rhs = np.dot(second_difference(a, g), b)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-9)
+
+
+
+def test_zero_flux_mirrors_ghost_nodes():
+    # for a field even about an end node the wrapped neighbour is that
+    # node's mirror image, so the periodic stencil there is the zero-flux
+    # ghost-node value 2 (f[1] - f[0]) / ds**2
+    g = make_grid(0.0, 3.0, 4)  # ds = 1
+    f = np.array([1.0, 4.0, 9.0, 4.0])  # even about node 0
+    assert second_difference(f, g)[0] == 2.0 * (4.0 - 1.0)
+    f = np.array([4.0, 9.0, 4.0, 1.0])  # even about node 3
+    assert second_difference(f, g)[-1] == 2.0 * (4.0 - 1.0)

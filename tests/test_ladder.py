@@ -227,9 +227,56 @@ def test_energy_examples():
     assert energy(wave, g, 0.0) == pytest.approx(0.5 * q**2 * length, rel=1e-2)
 
 
+def test_energy_nonperiodic_boundary_rule():
+    grid = make_grid(0.0, 1.0, 5)  # ds = 0.25
+    f = grid.nodes.astype(complex)  # df/dx = 1 at the interior nodes
+    got = energy(f, grid, 0.0)
+    # a field whose ends differ still takes the wrapped centered difference
+    # at both ends, (f[1] - f[-1]) / (2 ds) = (f[0] - f[-2]) / (2 ds) = -1.5,
+    # not the one-sided slope 1
+    dens = 0.5 * np.array([1.5**2, 1.0, 1.0, 1.0, 1.5**2])
+    assert got == pytest.approx(np.sum(dens) * grid.ds, rel=1e-12)
+
+
+POTENTIAL_RHS = [heat_potential_rhs, linear_schrodinger_rhs, nls_rhs]
+POTENTIAL_IDS = [fn.__name__ for fn in POTENTIAL_RHS]
+
+# each potential right-hand side as one allocating expression in the
+# library's operation order, with a per-node potential array vv
+PER_NODE = {
+    heat_potential_rhs: lambda lap, f, vv: 0.5 * lap + vv * f,
+    linear_schrodinger_rhs: lambda lap, f, vv: 1j * (0.5 * lap - vv * f),
+    nls_rhs: lambda lap, f, vv: 1j * (0.5 * lap - vv * np.abs(f) ** 2 * f),
+}
+
+
 def random_field(n, seed):
     rng = np.random.default_rng(seed)
     return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+
+def test_scalar_potential_stays_a_float():
+    # any real scalar type of V gives the complex128 result of float(V)
+    grid = make_grid(0.0, 1.0, 5)
+    f = random_field(5, 3)
+    for rhs in POTENTIAL_RHS:
+        for v in (1, -1.0, np.float32(0.5), np.float64(0.25)):
+            got = rhs(f, grid, v)
+            assert got.dtype == np.complex128
+            assert got.tobytes() == rhs(f, grid, float(v)).tobytes()
+
+
+@pytest.mark.parametrize("n", [201, 801])
+@pytest.mark.parametrize("rhs", POTENTIAL_RHS, ids=POTENTIAL_IDS)
+def test_scalar_potential_matches_its_full_array_bit_for_bit(rhs, n):
+    grid = make_grid(-20.0, 20.0, n)
+    f = random_field(n, n)
+    lap = roll_second_difference(f, grid.ds)
+    for v in (1.0, -1.0, 0.37, -2.9e-3):
+        got = rhs(f, grid, v)
+        tabulated = PER_NODE[rhs](lap, f, np.full(n, v))
+        assert got.dtype == tabulated.dtype == np.complex128
+        assert got.tobytes() == tabulated.tobytes()
 
 
 @pytest.mark.parametrize("n", [201, 801])
