@@ -16,7 +16,6 @@ from .errors import (
 )
 from .grid import Grid, make_grid, second_difference
 from .integrator import (
-    OdeSystem,
     StepControl,
     StepStats,
     cash_karp_step,
@@ -34,8 +33,6 @@ from .ladder import (
     unpack_complex,
 )
 from .market import (
-    KernelParams,
-    MarketState,
     ModelConfig,
     SimulationRecord,
     coupled_rhs,
@@ -55,11 +52,8 @@ __all__ = [
     "ConfigError",
     "Grid",
     "IntegrationError",
-    "KernelParams",
-    "MarketState",
     "ModelConfig",
     "NonFiniteError",
-    "OdeSystem",
     "SimulationRecord",
     "StepBudgetError",
     "StepControl",

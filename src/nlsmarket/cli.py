@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, IntegrationError
-from .grid import Grid, make_grid
+from .grid import make_grid
 from .integrator import StepControl, integrate_adaptive
 from .ladder import (
     complex_system,
@@ -295,11 +295,9 @@ TOLERANCES = (1e-6, 1e-8)
 Metric = Tuple[str, float, str]
 
 
-def _integrate_field(rhs_fn, grid: Grid, field0: np.ndarray, t_end: float, tol: float,
-                     observer=None):
-    system = complex_system(rhs_fn, grid.n)
+def _integrate_field(rhs_fn, field0: np.ndarray, t_end: float, tol: float, observer=None):
     ctl = StepControl(abs_tol=tol, rel_tol=tol)
-    y, _ = integrate_adaptive(system, 0.0, t_end, pack_complex(field0), ctl,
+    y, _ = integrate_adaptive(complex_system(rhs_fn), 0.0, t_end, pack_complex(field0), ctl,
                               observer=observer)
     return unpack_complex(y)
 
@@ -321,7 +319,7 @@ def _stage_gaussian(n: int, v: float, t_end: float, tol: float) -> List[Metric]:
         rhs = lambda f: heat_potential_rhs(f, grid, v)
     else:
         rhs = lambda f: heat_rhs(f, grid)
-    u1 = _integrate_field(rhs, grid, u0, t_end, tol)
+    u1 = _integrate_field(rhs, u0, t_end, tol)
     exact = np.exp(v * t_end) * (1.0 + t_end) ** -0.5 * np.exp(-(x**2) / (2.0 * (1.0 + t_end)))
     return [("max_error", *_peak(np.abs(u1.real - exact), x, "x"))]
 
@@ -336,7 +334,7 @@ def _stage_linear(tol: float) -> List[Metric]:
         times.append(t)
         drifts.append(abs(mass(unpack_complex(y), grid) - mass0))
 
-    _integrate_field(lambda f: linear_schrodinger_rhs(f, grid, 1.0), grid, psi0, 1.0, tol,
+    _integrate_field(lambda f: linear_schrodinger_rhs(f, grid, 1.0), psi0, 1.0, tol,
                      observer=watch)
     return [("mass_drift", *_peak(np.array(drifts), times, "t"))]
 
@@ -347,7 +345,7 @@ def _stage_nls(tol: float) -> List[Metric]:
     psi0 = (1.0 / np.cosh(x)).astype(complex)
     v = -1.0
     h0 = energy(psi0, grid, v)
-    psi1 = _integrate_field(lambda f: nls_rhs(f, grid, v), grid, psi0, 5.0, tol)
+    psi1 = _integrate_field(lambda f: nls_rhs(f, grid, v), psi0, 5.0, tol)
     h1 = energy(psi1, grid, v)
     return [
         ("max_modulus_deviation", *_peak(np.abs(np.abs(psi1) - np.abs(psi0)), x, "x")),

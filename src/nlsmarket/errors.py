@@ -36,7 +36,10 @@ class IntegrationError(RuntimeError):
 
 
 class StepBudgetError(IntegrationError):
-    """The step budget was exhausted before reaching the end time."""
+    """The step budget was exhausted at time t, before reaching the end time."""
+
+    def __init__(self, budget, t, stats=None):
+        super().__init__(f"step budget of {budget} exhausted at t={t}", t, stats)
 
 
 class StiffnessError(IntegrationError):

@@ -52,18 +52,11 @@ ERR_PREV_FLOOR = 1e-4
 LANDING_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class OdeSystem:
-    """A first-order ODE system y' = rhs(t, y) of fixed dimension.
-
-    ``rhs`` must be pure and deterministic and return a vector of the same
-    length as its input state. It must neither keep nor mutate its state
-    argument: the stepper passes one stage buffer that it overwrites for
-    every stage.
-    """
-
-    dimension: int
-    rhs: Callable[[float, np.ndarray], np.ndarray]
+# The right-hand side of a first-order ODE system y' = rhs(t, y). It must be
+# pure and deterministic and return a fresh vector of the same length as its
+# state argument, which it must neither keep nor mutate: the stepper passes
+# one stage buffer that it overwrites for every stage.
+Rhs = Callable[[float, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -124,8 +117,8 @@ class StepStats:
         self.next_h = other.next_h
 
 
-def cash_karp_step(system: OdeSystem, t: float, y: np.ndarray, h: float):
-    """Advance one step of size h.
+def cash_karp_step(rhs: Rhs, t: float, y: np.ndarray, h: float):
+    """Advance one step of size h of y' = rhs(t, y) (see Rhs).
 
     Returns (y5, err): the 5th-order solution and the component-wise
     difference between the 5th- and 4th-order solutions. A non-finite rhs
@@ -136,18 +129,16 @@ def cash_karp_step(system: OdeSystem, t: float, y: np.ndarray, h: float):
     if h <= 0:
         raise ConfigError(f"step size must be positive, got {h}")
     y = np.asarray(y, dtype=float)
-    if y.shape != (system.dimension,):
-        raise ValueError(f"state length {y.shape} does not match dimension {system.dimension}")
-    k = np.empty((6, system.dimension))
-    yi = np.empty(system.dimension)  # stage state, rebuilt in place per stage
+    k = np.empty((6, len(y)))
+    yi = np.empty(len(y))  # stage state, rebuilt in place per stage
     with np.errstate(over="ignore", invalid="ignore"):
-        k[0] = system.rhs(t, y)
+        k[0] = rhs(t, y)
         for i in range(1, 6):
             # y + h * (STAGE_COEFFS[i] @ k[:i]), bit for bit, without temporaries
             np.dot(STAGE_COEFFS[i], k[:i], out=yi)
             yi *= h
             yi += y
-            k[i] = system.rhs(t + STAGE_TIMES[i] * h, yi)
+            k[i] = rhs(t + STAGE_TIMES[i] * h, yi)
         y5 = y + h * np.dot(WEIGHTS_5TH, k)
         err = h * np.dot(ERROR_WEIGHTS, k)
     return y5, err
@@ -164,14 +155,14 @@ def _scaled_error_norm(err: np.ndarray, y: np.ndarray, ctl: StepControl) -> floa
 
 
 def integrate_adaptive(
-    system: OdeSystem,
+    rhs: Rhs,
     t0: float,
     t1: float,
     y0: np.ndarray,
     ctl: StepControl,
     observer: Optional[Callable[[float, np.ndarray], None]] = None,
 ):
-    """Integrate from t0 to t1, adapting the step size.
+    """Integrate y' = rhs(t, y) (see Rhs) from t0 to t1, adapting the step size.
 
     A step is accepted when its error norm e = max_k |err_k| / (abs_tol +
     rel_tol |y_k|) is at most 1. The next step is then
@@ -202,8 +193,8 @@ def integrate_adaptive(
     if not t1 > t0:
         raise ConfigError(f"need t1 > t0, got [{t0}, {t1}]")
     y = np.array(y0, dtype=float)
-    if y.shape != (system.dimension,):
-        raise ValueError(f"state length {y.shape} does not match dimension {system.dimension}")
+    if y.ndim != 1:
+        raise ValueError(f"start state must be a 1-D vector, got shape {y.shape}")
 
     stats = StepStats()
     h_max = ctl.h_max if ctl.h_max is not None else (t1 - t0) / 10.0
@@ -217,14 +208,12 @@ def integrate_adaptive(
     with np.errstate(over="ignore", invalid="ignore"):
         while t < t1:
             if stats.accepted + stats.rejected >= ctl.max_steps:
-                raise StepBudgetError(
-                    f"step budget of {ctl.max_steps} exhausted at t={t}", t=t, stats=stats
-                )
+                raise StepBudgetError(ctl.max_steps, t, stats)
             remaining = t1 - t
             final = h * (1.0 + LANDING_SLACK) >= remaining
             h_attempt = remaining if final else h
             try:
-                y5, err = cash_karp_step(system, t, y, h_attempt)
+                y5, err = cash_karp_step(rhs, t, y, h_attempt)
                 stats.rhs_evaluations += 6
                 errnorm = _scaled_error_norm(err, y, ctl)
                 if not np.isfinite(y5).all():

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .grid import Grid, second_difference
-from .integrator import OdeSystem
+from .integrator import Rhs
 
 
 def pack_complex(field: np.ndarray) -> np.ndarray:
@@ -96,18 +96,18 @@ def energy(field: np.ndarray, grid: Grid, v: float) -> float:
     return float(np.sum(dens) * grid.ds)
 
 
-def complex_system(fn: Callable[[np.ndarray], np.ndarray], n: int) -> OdeSystem:
-    """Wrap an autonomous complex-field map into a packed real ODE system.
+def complex_system(fn: Callable[[np.ndarray], np.ndarray]) -> Rhs:
+    """Wrap an autonomous complex-field map into an Rhs on the packed real state.
 
     The packed state, a contiguous float64 vector as the integrator passes
     it, is handed to ``fn`` as its complex128 view, and the map's
     complex128 result comes back as its float64 view, so a call copies
-    nothing. That relies on the OdeSystem contract, which ``fn`` must keep
-    as well: it neither keeps nor mutates its argument (the view shares the
+    nothing. That relies on the Rhs contract, which ``fn`` must keep as
+    well: it neither keeps nor mutates its argument (the view shares the
     integrator's stage buffer) and returns a fresh array.
     """
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         return fn(y.view(np.complex128)).view(np.float64)
 
-    return OdeSystem(dimension=2 * n, rhs=rhs)
+    return rhs

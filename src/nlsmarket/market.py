@@ -18,7 +18,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import List, Tuple
 
 import numpy as np
@@ -31,7 +30,7 @@ from .errors import (
     reject_non_finite,
 )
 from .grid import Grid, make_grid, second_difference
-from .integrator import OdeSystem, StepControl, StepStats, integrate_adaptive
+from .integrator import StepControl, StepStats, integrate_adaptive
 from .ladder import pack_complex, unpack_complex
 
 # Weight and mixing-coefficient draw order is part of the reproducibility
@@ -95,30 +94,6 @@ class ModelConfig:
             )
 
 
-@dataclass
-class MarketState:
-    """Full coupled state: both wave functions, weights, current time."""
-
-    sigma: np.ndarray
-    psi: np.ndarray
-    w: np.ndarray
-    t: float
-
-
-@dataclass(frozen=True)
-class KernelParams:
-    """Frozen mixing coefficients m_i, drawn once per run."""
-
-    m: np.ndarray
-
-    @cached_property
-    def one_minus_m(self) -> np.ndarray:
-        """1 - m_i, computed once per run (read-only)."""
-        values = 1.0 - self.m
-        values.setflags(write=False)
-        return values
-
-
 def modulus_sq(z: np.ndarray) -> np.ndarray:
     """|z|^2 as re^2 + im^2 along the last axis of a C-contiguous complex array."""
     parts = z.view(np.float64)
@@ -137,11 +112,12 @@ def target_output(sigma_sq: np.ndarray, grid: Grid) -> float:
 
 
 def gaussian_kernels(
-    t: float, sigma_sq: np.ndarray, grid: Grid, params: KernelParams
+    t: float, sigma_sq: np.ndarray, grid: Grid, one_minus_m: np.ndarray
 ) -> np.ndarray:
-    """g_i = exp(-(d (1 - m_i))^2) with d = target_output - target_signal."""
+    """g_i = exp(-(d (1 - m_i))^2) with d = target_output - target_signal;
+    ``one_minus_m`` holds the 1 - m_i of the run's mixing coefficients."""
     d = target_output(sigma_sq, grid) - target_signal(t)
-    g = d * params.one_minus_m
+    g = d * one_minus_m
     g *= g
     np.negative(g, out=g)
     return np.exp(g, out=g)
@@ -149,10 +125,6 @@ def gaussian_kernels(
 
 def potential(w: np.ndarray, g: np.ndarray) -> float:
     """Adaptive potential V(w) = sum_i w_i g_i."""
-    w = np.asarray(w)
-    g = np.asarray(g)
-    if w.shape != g.shape:
-        raise ValueError(f"weights {w.shape} and kernels {g.shape} differ in length")
     return float(np.dot(w, g))
 
 
@@ -168,10 +140,11 @@ def coupled_rhs(
     t: float,
     y: np.ndarray,
     grid: Grid,
-    params: KernelParams,
+    one_minus_m: np.ndarray,
     config: ModelConfig,
 ) -> np.ndarray:
-    """Full coupled derivative at time t of the packed state y (see pack_state).
+    """Full coupled derivative at time t of the packed state y (see pack_state);
+    ``one_minus_m`` holds 1 - m_i (see gaussian_kernels).
 
     sigma and psi are read as the two rows of one complex (2, n) view of
     y, so y is neither copied nor modified; the result is a fresh vector in
@@ -185,7 +158,7 @@ def coupled_rhs(
     z = y[: 4 * n].view(np.complex128).reshape(2, n)
     w = y[4 * n :]
     z_sq = modulus_sq(z)
-    g = gaussian_kernels(t, z_sq[0], grid, params)
+    g = gaussian_kernels(t, z_sq[0], grid, one_minus_m)
     v = potential(w, g)
     out = np.empty(5 * n)
     dz = out[: 4 * n].view(np.complex128).reshape(2, n)
@@ -211,29 +184,25 @@ def coupled_rhs(
     return out
 
 
-def pack_state(state: MarketState) -> np.ndarray:
+def pack_state(sigma: np.ndarray, psi: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Flatten to [sigma interleaved, psi interleaved, w]."""
-    return np.concatenate([pack_complex(state.sigma), pack_complex(state.psi), state.w])
+    return np.concatenate([pack_complex(sigma), pack_complex(psi), w])
 
 
-def unpack_state(y: np.ndarray, n: int, t: float) -> MarketState:
-    """Inverse of pack_state."""
-    return MarketState(
-        sigma=unpack_complex(y[: 2 * n]),
-        psi=unpack_complex(y[2 * n : 4 * n]),
-        w=np.array(y[4 * n :]),
-        t=t,
-    )
+def unpack_state(y: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inverse of pack_state: fresh (sigma, psi, w)."""
+    return unpack_complex(y[: 2 * n]), unpack_complex(y[2 * n : 4 * n]), np.array(y[4 * n :])
 
 
-def init_state(config: ModelConfig) -> Tuple[MarketState, KernelParams]:
-    """Seeded initial state: sigma = 0.25, psi = 1, random weights and m."""
+def init_state(config: ModelConfig) -> Tuple[np.ndarray, np.ndarray]:
+    """Seeded packed start state (sigma = 0.25, psi = 1, random weights w)
+    and the mixing coefficients m, drawn after w (see PRNG_SPEC)."""
     rng = np.random.default_rng(config.seed)
     w = rng.uniform(-1.0, 1.0, config.n)
     m = rng.uniform(-1.0, 1.0, config.n)
     sigma = np.full(config.n, 0.25 + 0.0j)
     psi = np.full(config.n, 1.0 + 0.0j)
-    return MarketState(sigma=sigma, psi=psi, w=w, t=0.0), KernelParams(m=m)
+    return pack_state(sigma, psi, w), m
 
 
 @dataclass
@@ -288,17 +257,16 @@ def run_simulation(config: ModelConfig) -> SimulationRecord:
     partial record attached as ``err.record``.
     """
     grid = make_grid(config.s0, config.s1, config.n)
-    state, params = init_state(config)
+    y0, m = init_state(config)
+    one_minus_m = 1.0 - m
     n = config.n
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return coupled_rhs(t, y, grid, params, config)
-
-    system = OdeSystem(dimension=5 * n, rhs=rhs)
+        return coupled_rhs(t, y, grid, one_minus_m, config)
 
     times = _snapshot_times(config.t_end, config.snapshot_stride)
     store = np.empty((len(times), 5 * n))
-    store[0] = pack_state(state)
+    store[0] = y0
     filled = 1
     stats = StepStats(next_h=config.control.h_init)
 
@@ -312,7 +280,7 @@ def run_simulation(config: ModelConfig) -> SimulationRecord:
             sigma=sigma,
             psi=fields[:, n:],
             w=rows[:, 4 * n :],
-            g=np.array([gaussian_kernels(t, modulus_sq(s), grid, params)
+            g=np.array([gaussian_kernels(t, modulus_sq(s), grid, one_minus_m)
                         for t, s in zip(times, sigma)]),
             stats=stats,
             completed=completed,
@@ -324,22 +292,16 @@ def run_simulation(config: ModelConfig) -> SimulationRecord:
             # the step budget covers the whole run, not one stride segment
             used = stats.accepted + stats.rejected
             if used >= budget:
-                raise StepBudgetError(
-                    f"step budget of {budget} exhausted at t={t_prev}", t=t_prev, stats=stats
-                )
+                raise StepBudgetError(budget, t_prev, stats)
             ctl = dataclasses.replace(config.control, max_steps=budget - used,
                                       h_init=stats.next_h)
             try:
-                y, seg_stats = integrate_adaptive(system, t_prev, t_next, store[filled - 1], ctl)
+                y, seg_stats = integrate_adaptive(rhs, t_prev, t_next, store[filled - 1], ctl)
             except IntegrationError as err:
                 if err.stats is not None:
                     stats.merge(err.stats)
                 if isinstance(err, StepBudgetError):
-                    raise StepBudgetError(
-                        f"step budget of {budget} exhausted at t={err.t}",
-                        t=err.t,
-                        stats=stats,
-                    ) from None
+                    raise StepBudgetError(budget, err.t, stats) from None
                 err.stats = stats
                 raise
             stats.merge(seg_stats)

@@ -53,12 +53,22 @@ def std_normal_cdf(d: float) -> float:
 
 
 def call_price(opt: VanillaCall) -> float:
-    """Closed-form call price spot*N(d1) - strike*exp(-r tau)*N(d2)."""
+    """Closed-form call price spot*N(d1) - strike*exp(-r tau)*N(d2).
+
+    Raises ConfigError where finite inputs leave the float range on the way
+    (an overflow, the log of an underflowed spot/strike, an infinite tau).
+    """
     tau = opt.maturity - opt.t
-    sig_sqrt = opt.sigma * math.sqrt(tau)
-    log_m = math.log(opt.spot / opt.strike)
-    d1 = (log_m + (opt.rate + 0.5 * opt.sigma**2) * tau) / sig_sqrt
-    d2 = (log_m + (opt.rate - 0.5 * opt.sigma**2) * tau) / sig_sqrt
-    return opt.spot * std_normal_cdf(d1) - opt.strike * math.exp(
-        -opt.rate * tau
-    ) * std_normal_cdf(d2)
+    try:
+        sig_sqrt = opt.sigma * math.sqrt(tau)
+        log_m = math.log(opt.spot / opt.strike)
+        d1 = (log_m + (opt.rate + 0.5 * opt.sigma**2) * tau) / sig_sqrt
+        d2 = (log_m + (opt.rate - 0.5 * opt.sigma**2) * tau) / sig_sqrt
+        price = opt.spot * std_normal_cdf(d1) - opt.strike * math.exp(
+            -opt.rate * tau
+        ) * std_normal_cdf(d2)
+    except (ArithmeticError, ValueError):
+        price = math.nan
+    if not math.isfinite(price):
+        raise ConfigError("the call price leaves the float range for these inputs")
+    return price

@@ -20,7 +20,6 @@ import numpy as np
 
 from nlsmarket import (
     ModelConfig,
-    OdeSystem,
     StepControl,
     VanillaCall,
     call_price,
@@ -38,7 +37,7 @@ from nlsmarket import (
     unpack_complex,
 )
 from nlsmarket.cli import MARKET_FILES, main
-from nlsmarket.market import KernelParams, MarketState, gaussian_kernels
+from nlsmarket.market import gaussian_kernels
 
 from oracles import call_price_quadrature, heat_kernel
 
@@ -51,7 +50,7 @@ def check(num: int, ok: bool, detail: str) -> None:
 
 def test_01_integrator_order():
     started = time.perf_counter()
-    system = OdeSystem(1, lambda t, y: y)
+    system = lambda t, y: y
     errors = []
     for h in (0.1, 0.05, 0.025):
         ctl = StepControl(abs_tol=1e-4, rel_tol=1e-4, h_init=h, h_min=h, h_max=h)
@@ -67,7 +66,7 @@ def test_02_heat_stage_against_analytic_kernel():
     started = time.perf_counter()
     grid = make_grid(-10.0, 10.0, 401)
     u0 = np.exp(-(grid.nodes**2) / 2.0).astype(complex)
-    system = complex_system(lambda f: heat_rhs(f, grid), grid.n)
+    system = complex_system(lambda f: heat_rhs(f, grid))
     ctl = StepControl(abs_tol=1e-8, rel_tol=1e-8)
     y, _ = integrate_adaptive(system, 0.0, 1.0, pack_complex(u0), ctl)
     err = float(np.max(np.abs(unpack_complex(y).real - heat_kernel(grid.nodes, 1.0))))
@@ -88,7 +87,7 @@ def test_03_linear_schrodinger_mass_drift():
         nonlocal worst
         worst = max(worst, abs(mass(unpack_complex(y), grid) - mass0))
 
-    system = complex_system(lambda f: linear_schrodinger_rhs(f, grid, 1.0), grid.n)
+    system = complex_system(lambda f: linear_schrodinger_rhs(f, grid, 1.0))
     ctl = StepControl(abs_tol=1e-8, rel_tol=1e-8)
     integrate_adaptive(system, 0.0, 1.0, pack_complex(psi0), ctl, observer=watch)
     check(3, worst < 1e-6, f"mass drift {worst:.3e} < 1e-6 over [0, 1] at tolerance 1e-8")
@@ -99,7 +98,7 @@ def test_04_nls_soliton():
     psi0 = (1.0 / np.cosh(grid.nodes)).astype(complex)
     v = -1.0
     h0 = energy(psi0, grid, v)
-    system = complex_system(lambda f: nls_rhs(f, grid, v), grid.n)
+    system = complex_system(lambda f: nls_rhs(f, grid, v))
     ctl = StepControl(abs_tol=1e-8, rel_tol=1e-8)
     y, _ = integrate_adaptive(system, 0.0, 5.0, pack_complex(psi0), ctl)
     psi1 = unpack_complex(y)
@@ -195,14 +194,14 @@ def test_09_randomized_invariant_suites():
     for _ in range(1000):
         amp = 0.25 * rng.uniform(0.0, 1.0, 16)
         phase = rng.uniform(0.0, 2.0 * np.pi, 16)
-        state = MarketState(
-            sigma=amp * np.exp(1j * phase),
-            psi=rng.normal(size=16) + 1j * rng.normal(size=16),
-            w=rng.normal(size=16),
-            t=float(rng.uniform(0.0, 360.0)),
+        sigma, psi, w = (
+            amp * np.exp(1j * phase),
+            rng.normal(size=16) + 1j * rng.normal(size=16),
+            rng.normal(size=16),
         )
-        params = KernelParams(m=rng.uniform(-1.0, 1.0, 16))
-        g = gaussian_kernels(state.t, np.abs(state.sigma) ** 2, grid, params)
+        t = float(rng.uniform(0.0, 360.0))
+        one_minus_m = 1.0 - rng.uniform(-1.0, 1.0, 16)
+        g = gaussian_kernels(t, np.abs(sigma) ** 2, grid, one_minus_m)
         assert np.all(g > 0.0) and np.all(g <= 1.0)
 
     # no-arbitrage bounds

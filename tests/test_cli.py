@@ -350,6 +350,30 @@ def test_price_call_rejects_non_finite_input(flag, value, capsys):
     assert captured.err.startswith("error:") and "must be finite" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--spot", "100", "--strike", "100", "--rate", "-1000", "--sigma", "0.2",
+         "--maturity", "1"],
+        ["--spot", "100", "--strike", "100", "--rate", "0.05", "--sigma", "1e300",
+         "--maturity", "1"],
+        ["--spot", "1e-300", "--strike", "1e300", "--rate", "0.05", "--sigma", "1e-300",
+         "--maturity", "1"],
+        ["--spot", "100", "--strike", "100", "--rate", "0.05", "--sigma", "0.2",
+         "--maturity", "1e308", "--valuation-time=-1e308"],
+    ],
+    ids=["exp-overflow", "sigma-squared-overflow", "log-of-underflow", "infinite-tau"],
+)
+def test_price_call_leaving_the_float_range_is_config_error(argv, capsys):
+    # finite inputs whose closed form overflows, takes the log of an
+    # underflowed ratio, or has an infinite tau (and so a NaN price)
+    rc = main(["price-call", *argv])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_usage_error_exit_code(tmp_path):
     assert main(["run-market"]) == 1
     assert main(["no-such-command"]) == 1

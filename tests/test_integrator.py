@@ -9,7 +9,6 @@ from nlsmarket import (
     ConfigError,
     ModelConfig,
     NonFiniteError,
-    OdeSystem,
     StepBudgetError,
     StepControl,
     StepStats,
@@ -29,14 +28,14 @@ from nlsmarket.integrator import (
     _scaled_error_norm,
 )
 from nlsmarket.ladder import complex_system, nls_rhs, pack_complex
-from nlsmarket.market import pack_state, run_simulation
+from nlsmarket.market import run_simulation
 
-EXP = OdeSystem(1, lambda t, y: y)
-ROTATION = OdeSystem(2, lambda t, y: np.array([-y[1], y[0]]))
+EXP = lambda t, y: y
+ROTATION = lambda t, y: np.array([-y[1], y[0]])
 
 
 def test_stationary_system_step():
-    sys0 = OdeSystem(3, lambda t, y: np.zeros(3))
+    sys0 = lambda t, y: np.zeros(3)
     y0 = np.array([1.0, -2.0, 0.5])
     y5, err = cash_karp_step(sys0, 0.0, y0, 0.7)
     assert np.array_equal(y5, y0)
@@ -62,8 +61,12 @@ def test_rotation_single_step():
 def test_step_rejects_bad_inputs():
     with pytest.raises(ConfigError):
         cash_karp_step(EXP, 0.0, np.array([1.0]), 0.0)
+    # an rhs whose result is longer than the state breaks the Rhs contract
     with pytest.raises(ValueError):
-        cash_karp_step(EXP, 0.0, np.array([1.0, 2.0]), 0.1)
+        cash_karp_step(lambda t, y: np.zeros(3), 0.0, np.array([1.0, 2.0]), 0.1)
+    # the driver takes the state length from y0, which must be a vector
+    with pytest.raises(ValueError):
+        integrate_adaptive(EXP, 0.0, 1.0, np.ones((2, 2)), StepControl(abs_tol=1e-6, rel_tol=1e-6))
 
 
 def test_adaptive_exponential():
@@ -74,7 +77,7 @@ def test_adaptive_exponential():
 
 
 def test_zero_rhs_is_exact():
-    sys0 = OdeSystem(2, lambda t, y: np.zeros(2))
+    sys0 = lambda t, y: np.zeros(2)
     y0 = np.array([3.0, -1.0])
     ctl = StepControl(abs_tol=1e-10, rel_tol=1e-10)
     y, stats = integrate_adaptive(sys0, 0.0, 7.0, y0, ctl)
@@ -152,7 +155,7 @@ def test_step_budget_error_carries_stats():
 
 def test_stiffness_error_at_h_min():
     # a fixed, too-large step for a fast decay can never satisfy the tolerance
-    fast = OdeSystem(1, lambda t, y: -1e4 * y)
+    fast = lambda t, y: -1e4 * y
     ctl = StepControl(abs_tol=1e-12, rel_tol=1e-12, h_init=0.5, h_min=0.5, h_max=0.5)
     with pytest.raises(StiffnessError) as exc:
         integrate_adaptive(fast, 0.0, 10.0, np.array([1.0]), ctl)
@@ -165,18 +168,18 @@ def test_nonfinite_rhs_fails_as_stiffness():
 
     ctl = StepControl(abs_tol=1e-6, rel_tol=1e-6, h_init=1e-3, h_min=1e-3, h_max=1e-3)
     with pytest.raises(StiffnessError):
-        integrate_adaptive(OdeSystem(1, bad), 0.0, 1.0, np.array([1.0]), ctl)
+        integrate_adaptive(bad, 0.0, 1.0, np.array([1.0]), ctl)
 
 
 def test_nonfinite_rhs_values_fail_as_stiffness():
-    overflow = OdeSystem(1, lambda t, y: np.array([np.inf]))
+    overflow = lambda t, y: np.array([np.inf])
     ctl = StepControl(abs_tol=1e-6, rel_tol=1e-6, h_init=1e-3, h_min=1e-3, h_max=1e-3)
     with pytest.raises(StiffnessError):
         integrate_adaptive(overflow, 0.0, 1.0, np.array([1.0]), ctl)
 
 
 def test_nonfinite_rhs_output_surfaces_in_single_step():
-    overflow = OdeSystem(1, lambda t, y: np.array([np.inf]))
+    overflow = lambda t, y: np.array([np.inf])
     y5, err = cash_karp_step(overflow, 0.0, np.array([1.0]), 0.1)
     assert not np.all(np.isfinite(y5)) or not np.all(np.isfinite(err))
 
@@ -192,42 +195,42 @@ def test_control_validation():
         integrate_adaptive(EXP, 1.0, 0.0, np.array([1.0]), StepControl(abs_tol=1e-6, rel_tol=1e-6))
 
 
-def allocating_cash_karp_step(system, t, y, h):
+def allocating_cash_karp_step(rhs, t, y, h):
     """Reference step that allocates every stage state as y + h * (a_i . k)."""
-    k = np.empty((6, system.dimension))
-    k[0] = system.rhs(t, y)
+    k = np.empty((6, len(y)))
+    k[0] = rhs(t, y)
     for i in range(1, 6):
-        k[i] = system.rhs(t + STAGE_TIMES[i] * h, y + h * (STAGE_COEFFS[i] @ k[:i]))
+        k[i] = rhs(t + STAGE_TIMES[i] * h, y + h * (STAGE_COEFFS[i] @ k[:i]))
     return y + h * (WEIGHTS_5TH @ k), h * (ERROR_WEIGHTS @ k)
 
 
 def market_system_and_state():
     cfg = ModelConfig()
     grid = make_grid(cfg.s0, cfg.s1, cfg.n)
-    state, params = init_state(cfg)
+    y0, m = init_state(cfg)
 
     def rhs(t, y):
-        return coupled_rhs(t, y, grid, params, cfg)
+        return coupled_rhs(t, y, grid, 1.0 - m, cfg)
 
-    return OdeSystem(5 * cfg.n, rhs), pack_state(state)
+    return rhs, y0
 
 
 def nls_system_and_state():
     # the ladder's soliton stage: d = 1,602, where np.dot and np.matmul could
     # pick different kernels for the stage sums
     grid = make_grid(-20.0, 20.0, 801)
-    system = complex_system(lambda f: nls_rhs(f, grid, -1.0), grid.n)
-    return system, pack_complex(1.0 / np.cosh(grid.nodes))
+    rhs = complex_system(lambda f: nls_rhs(f, grid, -1.0))
+    return rhs, pack_complex(1.0 / np.cosh(grid.nodes))
 
 
 @pytest.mark.parametrize("h", [1e-3, 0.05])
 def test_step_matches_allocating_oracle_bit_for_bit(h):
-    for system, y0 in (market_system_and_state(), nls_system_and_state()):
+    for rhs, y0 in (market_system_and_state(), nls_system_and_state()):
         # a uniform initial field leaves the stencil idle; a perturbed state does not
         rough = y0 + 1e-2 * np.random.default_rng(1).normal(size=y0.size)
         for y in (y0, rough):
-            y5, err = cash_karp_step(system, 0.25, y, h)
-            ref_y5, ref_err = allocating_cash_karp_step(system, 0.25, y, h)
+            y5, err = cash_karp_step(rhs, 0.25, y, h)
+            ref_y5, ref_err = allocating_cash_karp_step(rhs, 0.25, y, h)
             assert np.array_equal(y5, ref_y5)
             assert np.array_equal(err, ref_err)
 
@@ -277,7 +280,7 @@ def test_overflowing_large_step_is_rejected_without_warnings(rhs, h_init, exact)
     ctl = StepControl(abs_tol=1e-8, rel_tol=1e-8, h_init=h_init, h_max=h_init)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        y, stats = integrate_adaptive(OdeSystem(1, watched), 0.0, 1.0, np.array([1.0]), ctl)
+        y, stats = integrate_adaptive(watched, 0.0, 1.0, np.array([1.0]), ctl)
     assert huge and stats.rejected >= 1
     assert y[0] == pytest.approx(exact, rel=1e-6, abs=1e-7)
 
@@ -287,9 +290,9 @@ def record_attempts(monkeypatch):
     attempts = []
     original = integrator.cash_karp_step
 
-    def recording(system, t, y, h):
+    def recording(rhs, t, y, h):
         attempts.append((t, h))
-        return original(system, t, y, h)
+        return original(rhs, t, y, h)
 
     monkeypatch.setattr(integrator, "cash_karp_step", recording)
     return attempts
@@ -311,7 +314,7 @@ def test_fixed_step_lands_on_t1_without_a_residue_step():
 def test_step_after_a_rejection_never_grows(monkeypatch):
     # sharp periodic pulses: the steps grow between pulses and are rejected
     # on meeting the next one
-    pulses = OdeSystem(1, lambda t, y: 10.0 * np.exp(-((np.sin(3.0 * t) / 0.02) ** 2)) - y)
+    pulses = lambda t, y: 10.0 * np.exp(-((np.sin(3.0 * t) / 0.02) ** 2)) - y
     attempts = record_attempts(monkeypatch)
     ctl = StepControl(abs_tol=1e-7, rel_tol=1e-7)
     _, stats = integrate_adaptive(pulses, 0.0, 5.0, np.array([1.0]), ctl)
@@ -352,8 +355,8 @@ def test_snapshot_segments_start_from_the_carried_step(monkeypatch):
     starts = []
     original = market.integrate_adaptive
 
-    def recording(system, t0, t1, y0, ctl):
-        y, stats = original(system, t0, t1, y0, ctl)
+    def recording(rhs, t0, t1, y0, ctl):
+        y, stats = original(rhs, t0, t1, y0, ctl)
         starts.append((ctl.h_init, stats.next_h))
         return y, stats
 

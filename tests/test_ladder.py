@@ -20,10 +20,10 @@ from nlsmarket import (
 from oracles import dense_second_difference, heat_kernel, roll_second_difference
 
 
-def evolve(rhs_fn, grid, field0, t_end, tol=1e-8, observer=None):
-    system = complex_system(rhs_fn, grid.n)
+def evolve(rhs_fn, field0, t_end, tol=1e-8, observer=None):
+    rhs = complex_system(rhs_fn)
     ctl = StepControl(abs_tol=tol, rel_tol=tol)
-    y, stats = integrate_adaptive(system, 0.0, t_end, pack_complex(field0), ctl, observer=observer)
+    y, stats = integrate_adaptive(rhs, 0.0, t_end, pack_complex(field0), ctl, observer=observer)
     return unpack_complex(y), stats
 
 
@@ -66,7 +66,7 @@ def test_heat_solution_vs_analytic_kernel():
     grid = make_grid(-10.0, 10.0, 201)
     x = grid.nodes
     u0 = np.exp(-(x**2) / 2.0).astype(complex)
-    u1, _ = evolve(lambda f: heat_rhs(f, grid), grid, u0, 1.0)
+    u1, _ = evolve(lambda f: heat_rhs(f, grid), u0, 1.0)
 
     dense = 0.5 * dense_second_difference(grid.n, grid.ds)
     semi_discrete = expm(dense) @ u0.real
@@ -82,7 +82,7 @@ def test_heat_decay_is_monotone():
     u0 = np.abs(rng.normal(size=101)) + 0.1
     peaks = [np.max(np.abs(u0))]
     evolve(
-        lambda f: heat_rhs(f, grid), grid, u0.astype(complex), 0.5,
+        lambda f: heat_rhs(f, grid), u0.astype(complex), 0.5,
         observer=lambda t, y: peaks.append(np.max(np.abs(unpack_complex(y)))),
     )
     for prev, cur in zip(peaks, peaks[1:]):
@@ -111,7 +111,7 @@ def test_heat_potential_separable_solution():
     x = grid.nodes
     u0 = np.exp(-(x**2) / 2.0).astype(complex)
     t_end = 0.5
-    u1, _ = evolve(lambda f: heat_potential_rhs(f, grid, 1.0), grid, u0, t_end)
+    u1, _ = evolve(lambda f: heat_potential_rhs(f, grid, 1.0), u0, t_end)
     exact = np.exp(t_end) * heat_kernel(x, t_end)
     assert np.max(np.abs(u1.real - exact)) < 1e-4
 
@@ -144,7 +144,7 @@ def test_plane_wave_modulus_is_stationary():
     grid = make_grid(0.0, float(n - 1), n)
     q = 2.0 * np.pi * 3.0 / (n * grid.ds)
     psi0 = np.exp(1j * q * grid.nodes)
-    psi1, _ = evolve(lambda f: linear_schrodinger_rhs(f, grid, 0.0), grid, psi0, 1.0)
+    psi1, _ = evolve(lambda f: linear_schrodinger_rhs(f, grid, 0.0), psi0, 1.0)
     assert np.max(np.abs(np.abs(psi1) - 1.0)) < 1e-7
     # analytic phase of the semi-discrete mode
     lam = -(4.0 / grid.ds**2) * np.sin(q * grid.ds / 2.0) ** 2
@@ -158,7 +158,7 @@ def test_linear_schrodinger_conserves_mass():
     mass0 = mass(psi0, grid)
     drifts = []
     evolve(
-        lambda f: linear_schrodinger_rhs(f, grid, 1.0), grid, psi0, 1.0,
+        lambda f: linear_schrodinger_rhs(f, grid, 1.0), psi0, 1.0,
         tol=1e-8,
         observer=lambda t, y: drifts.append(abs(mass(unpack_complex(y), grid) - mass0)),
     )
@@ -192,7 +192,7 @@ def test_soliton_modulus_and_invariants():
     v = -1.0
     mass0 = mass(psi0, grid)
     h0 = energy(psi0, grid, v)
-    psi1, _ = evolve(lambda f: nls_rhs(f, grid, v), grid, psi0, 5.0, tol=1e-8)
+    psi1, _ = evolve(lambda f: nls_rhs(f, grid, v), psi0, 5.0, tol=1e-8)
 
     dev = np.max(np.abs(np.abs(psi1) - np.abs(psi0)))
     assert 1.7e-3 < dev < 2.0e-3
@@ -320,11 +320,11 @@ def test_complex_system_hands_the_map_a_view_and_returns_a_fresh_array(stage):
         seen.append(field)
         return LADDER_MAPS[stage](field, grid)
 
-    system = complex_system(fn, grid.n)
+    rhs = complex_system(fn)
     y = pack_complex(random_field(grid.n, 3))
     y.setflags(write=False)
     before = y.copy()
-    out = system.rhs(0.0, y)
+    out = rhs(0.0, y)
     # the map sees the state itself, read-only, and leaves it unchanged
     assert np.shares_memory(seen[0], y) and not seen[0].flags.writeable
     assert y.tobytes() == before.tobytes()

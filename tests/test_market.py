@@ -5,8 +5,6 @@ import pytest
 
 from nlsmarket import (
     ConfigError,
-    KernelParams,
-    MarketState,
     ModelConfig,
     StepBudgetError,
     StepControl,
@@ -31,22 +29,13 @@ def small_config(**kw):
     return ModelConfig(**base)
 
 
-def state_of(sigma, psi, w, t=0.0):
-    return MarketState(
-        sigma=np.asarray(sigma, dtype=complex),
-        psi=np.asarray(psi, dtype=complex),
-        w=np.asarray(w, dtype=float),
-        t=t,
-    )
+def rhs_of(t, state, grid, one_minus_m, cfg):
+    """The flat coupled_rhs on a packed (sigma, psi, w), unpacked again."""
+    return unpack_state(coupled_rhs(t, pack_state(*state), grid, one_minus_m, cfg), cfg.n)
 
 
-def rhs_of(t, state, grid, params, cfg):
-    """The flat coupled_rhs on a packed MarketState, unpacked again."""
-    return unpack_state(coupled_rhs(t, pack_state(state), grid, params, cfg), cfg.n, t)
-
-
-def density(state):
-    return np.abs(state.sigma) ** 2
+def density(sigma):
+    return np.abs(np.asarray(sigma, dtype=complex)) ** 2
 
 
 def test_target_signal_values():
@@ -65,10 +54,9 @@ def test_target_signal_matches_numpy_sin_at_snapshot_times():
 
 def test_target_output_examples():
     grid = make_grid(10.0, 20.0, 30)
-    zero = state_of(np.zeros(30), np.ones(30), np.zeros(30))
-    assert target_output(density(zero), grid) == 0.0
+    assert target_output(density(np.zeros(30)), grid) == 0.0
 
-    flat = state_of(np.full(30, 0.25), np.ones(30), np.zeros(30))
+    flat = np.full(30, 0.25)
     # independent direct summation
     expected = sum(0.25**2 * s for s in grid.nodes) * grid.ds
     assert expected == pytest.approx(9.698275862068966, rel=1e-12)
@@ -76,26 +64,23 @@ def test_target_output_examples():
 
     lone = np.zeros(30)
     lone[4] = 1.0
-    single = state_of(lone, np.ones(30), np.zeros(30))
-    assert target_output(density(single), grid) == pytest.approx(grid.nodes[4] * grid.ds, rel=1e-13)
+    assert target_output(density(lone), grid) == pytest.approx(grid.nodes[4] * grid.ds, rel=1e-13)
 
 
 def test_gaussian_kernel_examples():
     grid = make_grid(10.0, 20.0, 5)
-    params = KernelParams(m=np.array([0.0, 0.5, 1.0, -0.5, 0.9]))
+    one_minus_m = 1.0 - np.array([0.0, 0.5, 1.0, -0.5, 0.9])
 
     # sigma = 0 at t = 0 gives d = 0, so every kernel is exactly one
-    zero = state_of(np.zeros(5), np.ones(5), np.zeros(5))
-    assert np.all(gaussian_kernels(0.0, density(zero), grid, params) == 1.0)
+    assert np.all(gaussian_kernels(0.0, density(np.zeros(5)), grid, one_minus_m) == 1.0)
 
     # build d = 1 by putting all the density on one node
     j = 2
     amp = 1.0 / np.sqrt(grid.nodes[j] * grid.ds)
     sigma = np.zeros(5)
     sigma[j] = amp
-    one = state_of(sigma, np.ones(5), np.zeros(5))
-    assert target_output(density(one), grid) == pytest.approx(1.0, rel=1e-12)
-    g = gaussian_kernels(0.0, density(one), grid, params)
+    assert target_output(density(sigma), grid) == pytest.approx(1.0, rel=1e-12)
+    g = gaussian_kernels(0.0, density(sigma), grid, one_minus_m)
     assert g[0] == pytest.approx(np.exp(-1.0), rel=1e-12)  # m = 0
     assert g[2] == pytest.approx(1.0, rel=1e-14)  # m = 1 kills the exponent
     assert np.all((g > 0.0) & (g <= 1.0))
@@ -115,63 +100,62 @@ def test_potential_examples():
 
 def test_hebbian_examples():
     w = np.array([0.5, -0.25, 0.1])
-    st = state_of(np.full(3, 0.3), np.full(3, 1.2), w)
+    sigma = np.full(3, 0.3 + 0.0j)
+    psi = np.full(3, 1.2 + 0.0j)
     g = np.array([0.9, 0.8, 0.7])
 
-    assert np.array_equal(hebbian_rhs(st.w, st.sigma, st.psi, g, 0.0), -w)
+    assert np.array_equal(hebbian_rhs(w, sigma, psi, g, 0.0), -w)
 
-    st0 = state_of(np.full(3, 0.3), np.full(3, 1.2), np.zeros(3))
-    assert np.all(hebbian_rhs(st0.w, st0.sigma, st0.psi, g, 2.0) > 0.0)
+    assert np.all(hebbian_rhs(np.zeros(3), sigma, psi, g, 2.0) > 0.0)
 
     c = 1.7
     fixed = c * 0.3 * g * 1.2
-    st_fix = state_of(np.full(3, 0.3), np.full(3, 1.2), fixed)
-    assert np.allclose(hebbian_rhs(st_fix.w, st_fix.sigma, st_fix.psi, g, c), 0.0, atol=1e-15)
+    assert np.allclose(hebbian_rhs(fixed, sigma, psi, g, c), 0.0, atol=1e-15)
 
 
 def test_coupled_rhs_fixed_point():
     cfg = small_config()
     grid = make_grid(cfg.s0, cfg.s1, cfg.n)
-    params = KernelParams(m=np.zeros(cfg.n))
-    st = state_of(np.zeros(cfg.n), np.zeros(cfg.n), np.zeros(cfg.n))
-    d = rhs_of(0.3, st, grid, params, cfg)
-    assert np.all(d.sigma == 0.0)
-    assert np.all(d.psi == 0.0)
-    assert np.all(d.w == 0.0)
+    zeros = np.zeros(cfg.n)
+    d_sigma, d_psi, d_w = rhs_of(0.3, (zeros, zeros, zeros), grid, np.ones(cfg.n), cfg)
+    assert np.all(d_sigma == 0.0)
+    assert np.all(d_psi == 0.0)
+    assert np.all(d_w == 0.0)
 
 
 def test_coupled_rhs_modulus_preserving_when_psi_zero():
     cfg = small_config()
     grid = make_grid(cfg.s0, cfg.s1, cfg.n)
     rng = np.random.default_rng(23)
-    params = KernelParams(m=rng.uniform(-1, 1, cfg.n))
+    one_minus_m = 1.0 - rng.uniform(-1, 1, cfg.n)
     sigma = rng.normal(size=cfg.n) + 1j * rng.normal(size=cfg.n)
-    st = state_of(sigma, np.zeros(cfg.n), rng.normal(size=cfg.n))
-    d = rhs_of(0.1, st, grid, params, cfg)
+    state = (sigma, np.zeros(cfg.n), rng.normal(size=cfg.n))
+    d_sigma, _, _ = rhs_of(0.1, state, grid, one_minus_m, cfg)
     # phase rotation only: d|sigma|^2/dt = 2 Re(conj(sigma) dsigma) = 0
-    assert np.allclose((np.conj(sigma) * d.sigma).real, 0.0, atol=1e-12)
+    assert np.allclose((np.conj(sigma) * d_sigma).real, 0.0, atol=1e-12)
 
 
 def test_coupled_rhs_matches_single_node_oracle_at_start_values():
     cfg = small_config(n=30)
     grid = make_grid(cfg.s0, cfg.s1, cfg.n)
-    state, params = init_state(cfg)
+    y0, m = init_state(cfg)
+    sigma, psi, w = unpack_state(y0, cfg.n)
     t = 0.0
-    d = rhs_of(t, state, grid, params, cfg)
+    d_sigma, d_psi, d_w = unpack_state(coupled_rhs(t, y0, grid, 1.0 - m, cfg), cfg.n)
 
     # hand-assembled: spatially constant fields kill both diffusion terms
     d_oracle = sum(grid.nodes[k] * 0.25**2 * grid.ds for k in range(cfg.n)) - 2.0 * np.sin(
         60.0 * t
     )
-    g_oracle = np.array([np.exp(-((d_oracle * (1.0 - m)) ** 2)) for m in params.m])
-    v_oracle = float(np.sum(state.w * g_oracle))
+    g_oracle = np.array([np.exp(-((d_oracle * (1.0 - m_i)) ** 2)) for m_i in m])
+    v_oracle = float(np.sum(w * g_oracle))
 
-    assert np.allclose(np.abs(d.sigma), abs(v_oracle) * 0.25**3, rtol=1e-12)
-    assert np.allclose(np.abs(d.psi), 1.0 + cfg.r, rtol=1e-12)
-    assert np.allclose(d.w, -state.w + cfg.c * 0.25 * g_oracle * 1.0, rtol=1e-12)
+    assert np.allclose(np.abs(d_sigma), abs(v_oracle) * 0.25**3, rtol=1e-12)
+    assert np.allclose(np.abs(d_psi), 1.0 + cfg.r, rtol=1e-12)
+    assert np.allclose(d_w, -w + cfg.c * 0.25 * g_oracle * 1.0, rtol=1e-12)
     # pure phase rotations
-    assert np.allclose((np.conj(state.sigma) * d.sigma).real, 0.0, atol=1e-14)
-    assert np.allclose((np.conj(state.psi) * d.psi).real, 0.0, atol=1e-14)
+    assert np.allclose((np.conj(sigma) * d_sigma).real, 0.0, atol=1e-14)
+    assert np.allclose((np.conj(psi) * d_psi).real, 0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("n", [3, 8, 30])
@@ -179,28 +163,27 @@ def test_flat_rhs_matches_field_by_field_oracle(n):
     cfg = small_config(n=n, r=0.01, c=1.3)
     grid = make_grid(cfg.s0, cfg.s1, n)
     rng = np.random.default_rng(n)
-    params = KernelParams(m=rng.uniform(-1, 1, n))
+    m = rng.uniform(-1, 1, n)
     for t in (0.0, 0.0123, 1.7, 359.9):
         # amplitudes near the model's operating point keep the kernels off underflow
         sigma = 0.1 * (rng.normal(size=n) + 1j * rng.normal(size=n))
         psi = rng.normal(size=n) + 1j * rng.normal(size=n)
         w = rng.uniform(-1, 1, n)
-        d = rhs_of(t, state_of(sigma, psi, w, t), grid, params, cfg)
-        d_sigma, d_psi, d_w = coupled_rhs_oracle(t, sigma, psi, w, grid, params.m, cfg.r, cfg.c)
-        assert np.allclose(d.sigma, d_sigma, rtol=1e-13, atol=0)
-        assert np.allclose(d.psi, d_psi, rtol=1e-13, atol=0)
-        assert np.allclose(d.w, d_w, rtol=1e-13, atol=0)
+        d = rhs_of(t, (sigma, psi, w), grid, 1.0 - m, cfg)
+        oracle = coupled_rhs_oracle(t, sigma, psi, w, grid, m, cfg.r, cfg.c)
+        for got, want in zip(d, oracle):  # sigma, psi, w
+            assert np.allclose(got, want, rtol=1e-13, atol=0)
 
 
 def test_flat_rhs_neither_mutates_nor_aliases_its_state():
     cfg = small_config(n=8)
     grid = make_grid(cfg.s0, cfg.s1, cfg.n)
     rng = np.random.default_rng(5)
-    params = KernelParams(m=rng.uniform(-1, 1, cfg.n))
+    one_minus_m = 1.0 - rng.uniform(-1, 1, cfg.n)
     y = rng.normal(size=5 * cfg.n)
     before = y.copy()
     y.setflags(write=False)  # any write into the state raises
-    out = coupled_rhs(0.4, y, grid, params, cfg)
+    out = coupled_rhs(0.4, y, grid, one_minus_m, cfg)
     assert np.array_equal(y, before)
     assert out.shape == y.shape
     assert not np.shares_memory(out, y)
@@ -216,11 +199,11 @@ def test_modulus_sq_is_re2_plus_im2():
 def test_endpoint_derivatives_agree_under_wrap():
     cfg = small_config(n=12)
     grid = make_grid(cfg.s0, cfg.s1, cfg.n)
-    state, params = init_state(cfg)
-    d = rhs_of(0.0, state, grid, params, cfg)
+    y0, m = init_state(cfg)
+    d_sigma, d_psi, _ = unpack_state(coupled_rhs(0.0, y0, grid, 1.0 - m, cfg), cfg.n)
     # spatially constant state: the repeatable-BC residual is exactly zero
-    assert d.sigma[0] == d.sigma[-1]
-    assert d.psi[0] == d.psi[-1]
+    assert d_sigma[0] == d_sigma[-1]
+    assert d_psi[0] == d_psi[-1]
 
 
 def test_wrap_stencil_wiring():
@@ -240,36 +223,36 @@ def test_wrap_stencil_wiring():
 
 def test_init_state_values_and_seeding():
     cfg = small_config(n=30, seed=42)
-    state, params = init_state(cfg)
-    assert np.all(state.sigma == 0.25 + 0.0j)
-    assert np.all(state.psi == 1.0 + 0.0j)
-    assert state.t == 0.0
-    assert np.all(np.abs(params.m) <= 1.0)
+    y0, m = init_state(cfg)
+    # PRNG_SPEC: w is the first uniform(-1, 1) draw of the seed, m the second
+    rng = np.random.default_rng(42)
+    w = rng.uniform(-1.0, 1.0, 30)
+    assert np.array_equal(m, rng.uniform(-1.0, 1.0, 30))
+    assert np.array_equal(y0, pack_state(np.full(30, 0.25), np.full(30, 1.0), w))
+    assert np.all(np.abs(m) <= 1.0)
 
-    again, params_again = init_state(cfg)
-    assert np.array_equal(state.w, again.w)
-    assert np.array_equal(params.m, params_again.m)
+    again, m_again = init_state(cfg)
+    assert np.array_equal(y0, again)
+    assert np.array_equal(m, m_again)
 
-    other, params_other = init_state(dataclasses.replace(cfg, seed=43))
-    assert not np.array_equal(state.w, other.w)
-    assert not np.array_equal(params.m, params_other.m)
+    other, m_other = init_state(dataclasses.replace(cfg, seed=43))
+    assert not np.array_equal(y0, other)
+    assert not np.array_equal(m, m_other)
 
 
 def test_pack_state_roundtrip():
     rng = np.random.default_rng(31)
     n = 7
-    st = state_of(
+    state = (
         rng.normal(size=n) + 1j * rng.normal(size=n),
         rng.normal(size=n) + 1j * rng.normal(size=n),
         rng.normal(size=n),
-        t=1.5,
     )
-    y = pack_state(st)
+    y = pack_state(*state)
     assert y.shape == (5 * n,)
-    back = unpack_state(y, n, 1.5)
-    assert np.array_equal(back.sigma, st.sigma)
-    assert np.array_equal(back.psi, st.psi)
-    assert np.array_equal(back.w, st.w)
+    for back, original in zip(unpack_state(y, n), state):  # sigma, psi, w
+        assert np.array_equal(back, original)
+        assert not np.shares_memory(back, y)
 
 
 def test_config_validation():
@@ -363,13 +346,12 @@ def test_nonfinite_state_aborts_with_node_and_time():
 
     cfg = small_config()
     grid = make_grid(cfg.s0, cfg.s1, cfg.n)
-    params = KernelParams(m=np.zeros(cfg.n))
     sigma = np.full(cfg.n, 0.25 + 0.0j)
     sigma[3] = np.inf
-    st = state_of(sigma, np.ones(cfg.n), np.zeros(cfg.n))
+    state = (sigma, np.ones(cfg.n), np.zeros(cfg.n))
     # the errstate cash_karp_step sets around every rhs call
     with pytest.raises(NonFiniteError) as exc, np.errstate(over="ignore", invalid="ignore"):
-        rhs_of(1.25, st, grid, params, cfg)
+        rhs_of(1.25, state, grid, np.ones(cfg.n), cfg)
     assert exc.value.node is not None
     assert exc.value.t == 1.25
 
@@ -378,13 +360,13 @@ def test_finite_derivative_whose_sum_overflows_is_returned():
     # every dw_i = 1e308 is finite, but their sum overflows
     cfg = small_config()
     grid = make_grid(cfg.s0, cfg.s1, cfg.n)
-    params = KernelParams(m=np.full(cfg.n, -1.0))  # g_i = exp(-16) keeps V finite
-    st = state_of(np.zeros(cfg.n), np.zeros(cfg.n), np.full(cfg.n, -1e308))
+    one_minus_m = 1.0 - np.full(cfg.n, -1.0)  # g_i = exp(-16) keeps V finite
+    state = (np.zeros(cfg.n), np.zeros(cfg.n), np.full(cfg.n, -1e308))
     # the errstate cash_karp_step sets around every rhs call
     with np.errstate(over="ignore", invalid="ignore"):
-        d = rhs_of(np.pi / 120.0, st, grid, params, cfg)
-    assert np.all(d.w == 1e308)
-    assert np.all(d.sigma == 0.0) and np.all(d.psi == 0.0)
+        d_sigma, d_psi, d_w = rhs_of(np.pi / 120.0, state, grid, one_minus_m, cfg)
+    assert np.all(d_w == 1e308)
+    assert np.all(d_sigma == 0.0) and np.all(d_psi == 0.0)
 
 
 def test_uniform_start_stays_uniform_across_lines():
@@ -434,6 +416,6 @@ def test_partial_record_rows_agree():
     for name in ("sigma", "psi", "w", "g"):
         assert np.array_equal(getattr(rec, name), getattr(full, name)[:rows])
     grid = make_grid(cfg.s0, cfg.s1, cfg.n)
-    _, params = init_state(cfg)
-    g = [gaussian_kernels(t, modulus_sq(s), grid, params) for t, s in zip(rec.times, rec.sigma)]
+    _, m = init_state(cfg)
+    g = [gaussian_kernels(t, modulus_sq(s), grid, 1.0 - m) for t, s in zip(rec.times, rec.sigma)]
     assert np.array_equal(rec.g, g)
