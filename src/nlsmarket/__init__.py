@@ -10,7 +10,6 @@ of simpler verification problems.
 from .errors import (
     ConfigError,
     IntegrationError,
-    NonFiniteError,
     StepBudgetError,
     StiffnessError,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "Grid",
     "IntegrationError",
     "ModelConfig",
-    "NonFiniteError",
     "SimulationRecord",
     "StepBudgetError",
     "StepControl",

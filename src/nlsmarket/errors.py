@@ -45,13 +45,3 @@ class StepBudgetError(IntegrationError):
 class StiffnessError(IntegrationError):
     """The error norm cannot be satisfied even at the minimum step size."""
 
-
-class NonFiniteError(IntegrationError):
-    """A right-hand side produced a non-finite value.
-
-    ``node`` identifies the first offending grid node when known.
-    """
-
-    def __init__(self, message, t=None, node=None):
-        super().__init__(message, t)
-        self.node = node

@@ -91,7 +91,8 @@ def energy(field: np.ndarray, grid: Grid, v: float) -> float:
     field = np.asarray(field, dtype=complex)
     if field.shape != (grid.n,):
         raise ValueError(f"field length {field.shape} does not match grid n={grid.n}")
-    dpsi = (np.roll(field, -1) - np.roll(field, 1)) / (2.0 * grid.ds)
+    padded = field.take(grid.wrap_index)
+    dpsi = (padded[2:] - padded[:-2]) / (2.0 * grid.ds)
     dens = 0.5 * np.abs(dpsi) ** 2 + 0.5 * v * np.abs(field) ** 4
     return float(np.sum(dens) * grid.ds)
 

@@ -32,13 +32,15 @@ def roll_second_difference(field: np.ndarray, ds: float) -> np.ndarray:
     return (np.roll(field, -1) - 2.0 * field + np.roll(field, 1)) * inv_ds2
 
 
-def coupled_rhs_oracle(t, sigma, psi, w, grid, m, r, c):
+def coupled_rhs_oracle(t, sigma, psi, w, grid, m, r, c, laps=None):
     """The coupled market derivative assembled field by field.
 
     Moduli come from np.abs(.)**2, each line gets its own stencil call,
     and the kernels, potential and Hebbian rule are written out here, so
     the library's flat right-hand side is checked against a second
-    assembly of the same equations. Returns (d_sigma, d_psi, d_w).
+    assembly of the same equations. ``laps`` = (Lap sigma, Lap psi), when
+    given, replaces the two stencil calls, e.g. with exact second
+    derivatives. Returns (d_sigma, d_psi, d_w).
     """
     abs_sigma2 = np.abs(sigma) ** 2
     abs_psi2 = np.abs(psi) ** 2
@@ -46,8 +48,9 @@ def coupled_rhs_oracle(t, sigma, psi, w, grid, m, r, c):
     d = np.sum(grid.nodes * abs_sigma2) * grid.ds - 2.0 * np.sin(60.0 * t)
     g = np.exp(-((d * (1.0 - m)) ** 2))
     v = np.sum(w * g)
-    lap_sigma = second_difference(sigma, grid)
-    lap_psi = second_difference(psi, grid)
+    if laps is None:
+        laps = second_difference(sigma, grid), second_difference(psi, grid)
+    lap_sigma, lap_psi = laps
     d_sigma = 1j * (half_s2 * abs_psi2 * lap_sigma - v * abs_sigma2 * sigma)
     d_psi = 1j * (half_s2 * abs_sigma2 * lap_psi - abs_psi2 * psi - r * psi)
     d_w = -w + c * np.abs(sigma) * g * np.abs(psi)

@@ -280,6 +280,24 @@ def test_run_market_budget_failure(tmp_path):
     assert vol.shape[0] >= 1
 
 
+def test_run_market_non_finite_derivative_fails_at_h_min(tmp_path, capsys):
+    # a learning rate of 1e300 drives the derivative out of the float range
+    # from the first step, so every attempt down to h_min is rejected
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 8\nt_end = 2\nc = 1e300\n")
+    out = tmp_path / "f"
+    assert main(["run-market", "--config", str(cfg), "--out", str(out)]) == 2
+    message = "error norm inf not satisfiable at h_min=1e-10 (t=0.0)"
+    assert capsys.readouterr().err == f"integration failure: {message}\n"
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    assert f"status: failed: {message}" in manifest
+    for line in ("accepted: 0", "rejected: 9", "rhs_evaluations: 54"):
+        assert f"  {line}" in manifest
+    for name in DATA_FILES:
+        _, data = read_csv_body(out / name)
+        assert data.shape[0] == 1
+
+
 @pytest.mark.parametrize("stage", ["heat", "heat-potential", "linear"])
 def test_fast_ladder_stages_pass(stage, tmp_path):
     assert main(["run-ladder", "--stage", stage, "--out", str(tmp_path)]) == 0

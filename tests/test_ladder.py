@@ -226,6 +226,13 @@ def test_energy_examples():
     assert energy(wave, g, 0.0) == pytest.approx(expected, rel=1e-12)
     assert energy(wave, g, 0.0) == pytest.approx(0.5 * q**2 * length, rel=1e-2)
 
+    # the wrap-padded difference is the np.roll formula bit for bit
+    field = random_field(64, 9)
+    g = make_grid(-3.0, 5.0, 64)
+    dpsi = (np.roll(field, -1) - np.roll(field, 1)) / (2.0 * g.ds)
+    dens = 0.5 * np.abs(dpsi) ** 2 + 0.5 * 0.7 * np.abs(field) ** 4
+    assert energy(field, g, 0.7) == float(np.sum(dens) * g.ds)
+
 
 def test_energy_nonperiodic_boundary_rule():
     grid = make_grid(0.0, 1.0, 5)  # ds = 0.25
