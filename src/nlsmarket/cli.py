@@ -4,9 +4,9 @@ Subcommands:
     run-market   integrate the coupled model, write figure-ready CSV data
     run-ladder   run one verification stage against its analytic oracle
     price-call   closed-form European call price
-    sweep        independent seeded runs on worker threads (default 1; the
-                 runs share one interpreter lock, so more workers add no
-                 speed at these sizes)
+    sweep        independent seeded runs, one after another on one thread
+                 (--workers is accepted and validated but does not change
+                 the schedule)
 
 Exit codes: 0 success, 1 usage or configuration error, 2 integration
 failure, 3 oracle tolerance failure, 4 outputs could not be written.
@@ -24,7 +24,6 @@ import sys
 import time
 import typing
 import uuid
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -451,13 +450,18 @@ def _cmd_sweep(args) -> int:
     # every config is checked before the first run writes anything
     configs = [dataclasses.replace(config, seed=seed) for seed in seeds]
     out = Path(args.out)
-
-    def one(cfg: ModelConfig) -> int:
-        return run_market(cfg, out / f"seed_{cfg.seed}")
-
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        codes = list(pool.map(one, configs))
-    return max(codes) if codes else 0
+    # Seeds run in order on this thread. Each is an independent run, so one
+    # that raises does not cost the rest their outputs; the first error is
+    # raised once every seed has been tried.
+    codes, first_error = [], None
+    for cfg in configs:
+        try:
+            codes.append(run_market(cfg, out / f"seed_{cfg.seed}"))
+        except Exception as err:
+            first_error = first_error or err
+    if first_error is not None:
+        raise first_error
+    return max(codes)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -488,13 +492,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--valuation-time", type=float, default=0.0, help="valuation time in years")
     p.set_defaults(func=_cmd_price_call)
 
-    p = sub.add_parser("sweep", help="independent seeded runs in worker threads")
+    p = sub.add_parser("sweep", help="independent seeded runs, one after another")
     p.add_argument("--config", help="config file shared by all runs")
     p.add_argument("--out", required=True, help="parent output directory")
     p.add_argument("--seeds", required=True, help="comma-separated seed list")
     p.add_argument("--workers", type=int, default=1,
-                   help="worker threads (default 1; the runs share one interpreter "
-                        "lock, so more workers add no speed at these sizes)")
+                   help="accepted and validated (at least 1), but the seeds always "
+                        "run one after another on one thread")
     p.set_defaults(func=_cmd_sweep)
 
     return parser

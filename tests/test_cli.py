@@ -244,17 +244,23 @@ def test_run_market_zero_horizon(tmp_path):
     assert np.all(price[0, 1:] == 1.0)
 
 
+def assert_same_run(a, b):
+    """Directories a and b hold the same run: equal data files, and equal
+    manifests apart from the wall-clock duration_seconds line."""
+    for name in DATA_FILES:
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+    strip = lambda p: [
+        l for l in p.read_text().splitlines() if not l.startswith("duration_seconds")
+    ]
+    assert strip(a / "manifest.txt") == strip(b / "manifest.txt")
+
+
 def test_run_market_is_byte_deterministic(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("t_end = 3\nseed = 21\n")
     assert main(["run-market", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
     assert main(["run-market", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
-    for name in DATA_FILES:
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-    strip = lambda p: [
-        l for l in p.read_text().splitlines() if not l.startswith("duration_seconds")
-    ]
-    assert strip(tmp_path / "a" / "manifest.txt") == strip(tmp_path / "b" / "manifest.txt")
+    assert_same_run(tmp_path / "a", tmp_path / "b")
 
 
 def test_seed_flag_overrides_config(tmp_path):
@@ -416,6 +422,70 @@ def test_sweep_runs_each_seed(tmp_path):
     assert main(["sweep", "--out", str(out), "--seeds", ""]) == 1
 
 
+@pytest.mark.parametrize("failing", [("seed_2",), ("seed_2", "seed_3")],
+                         ids=["one", "two"])
+def test_sweep_tries_every_seed_and_raises_the_first_write_error(failing, tmp_path,
+                                                                 monkeypatch, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("t_end = 1\n")
+    out = tmp_path / "sw"
+    original = OutputSet.write
+    tried = []
+
+    def failing_write(self, name, text):
+        # every write of a failing seed raises, so it leaves no file behind
+        seed = self.outdir.name
+        if seed not in tried:
+            tried.append(seed)
+        if seed in failing:
+            raise OSError(f"no space left writing {seed}/{name}")
+        return original(self, name, text)
+
+    monkeypatch.setattr(OutputSet, "write", failing_write)
+    rc = main(["sweep", "--config", str(cfg), "--out", str(out), "--seeds", "1,2,3"])
+    assert rc == 4
+    # a failed seed does not stop the seeds after it
+    assert tried == ["seed_1", "seed_2", "seed_3"]
+    names = sorted(DATA_FILES + ["manifest.txt"])
+    for seed in tried:
+        written = sorted(p.name for p in (out / seed).iterdir())
+        assert written == ([] if seed in failing else names)
+    # the error reported is the first one in seed order
+    err = capsys.readouterr().err
+    assert err == ("error: cannot write outputs: no space left writing "
+                   "seed_2/volatility_pdf.csv\n")
+
+
+def test_sweep_exits_with_the_largest_code_over_its_seeds(tmp_path, capsys):
+    # measured step attempts over t_end = 2: seed 1 87, seed 2 69, seed 3 66,
+    # so only seed 1 exhausts a budget of 70; it runs second of three
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("t_end = 2\nmax_steps = 70\n")
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--seeds", "2,1,3"]) == 2
+    status = {
+        seed: [l for l in (out / f"seed_{seed}" / "manifest.txt").read_text().splitlines()
+               if l.startswith("status: ")]
+        for seed in (1, 2, 3)
+    }
+    assert status[1][0].startswith("status: failed: step budget of 70 exhausted")
+    assert status[2] == status[3] == ["status: completed"]
+    assert capsys.readouterr().err.startswith("integration failure: step budget of 70")
+
+
+def test_sweep_seed_matches_a_standalone_run(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("t_end = 2\nsnapshot_stride = 0.5\n")
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--seeds", "7,3",
+                 "--workers", "2"]) == 0
+    for seed in ("7", "3"):
+        alone = tmp_path / f"alone_{seed}"
+        assert main(["run-market", "--config", str(cfg), "--out", str(alone),
+                     "--seed", seed]) == 0
+        assert_same_run(out / f"seed_{seed}", alone)
+
+
 def test_sweep_rejects_repeated_seeds(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("t_end = 1\n")
@@ -478,7 +548,8 @@ def test_readme_command_line_shows_every_flag(command):
 
 
 def test_sweep_runs_on_one_worker_by_default():
-    # the runs share one interpreter lock, so more threads only add contention
+    # the seeds always run one after another on the calling thread; --workers
+    # is accepted and validated, and its default stays 1 for existing commands
     args = build_parser().parse_args(["sweep", "--out", "sw", "--seeds", "1,2"])
     assert args.workers == 1
 

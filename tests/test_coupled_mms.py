@@ -26,6 +26,7 @@ from nlsmarket import (
     integrate_adaptive,
     make_grid,
 )
+from nlsmarket.integrator import cash_karp_step
 from nlsmarket.market import pack_state
 
 from oracles import coupled_rhs_oracle
@@ -60,8 +61,8 @@ def manufactured(t, n, r):
     return (sigma, psi, w), rates, (phase_a * a_ss, phase_b * b_ss)
 
 
-def mms_error(n, tol):
-    """(max |y(T_END) - y_e(T_END)|, ds) for rhs_mms on n nodes at tolerance tol."""
+def mms_problem(n):
+    """(rhs_mms, exact, grid) on n nodes; exact(t) is the packed y_e(t)."""
     cfg = ModelConfig(n=n, s1=10.0 + PERIOD * (n - 1) / n)
     grid = make_grid(cfg.s0, cfg.s1, n)
     _, m = init_state(cfg)
@@ -72,10 +73,15 @@ def mms_error(n, tol):
         source = pack_state(*(rate - f for rate, f in zip(rates, model)))
         return coupled_rhs(t, y, grid, 1.0 - m, cfg) + source
 
+    return rhs_mms, lambda t: pack_state(*manufactured(t, n, cfg.r)[0]), grid
+
+
+def mms_error(n, tol):
+    """(max |y(T_END) - y_e(T_END)|, ds) for rhs_mms on n nodes at tolerance tol."""
+    rhs_mms, exact, grid = mms_problem(n)
     ctl = StepControl(abs_tol=tol, rel_tol=tol)
-    y0 = pack_state(*manufactured(0.0, n, cfg.r)[0])
-    y, _ = integrate_adaptive(rhs_mms, 0.0, T_END, y0, ctl)
-    return float(np.max(np.abs(y - pack_state(*manufactured(T_END, n, cfg.r)[0])))), grid.ds
+    y, _ = integrate_adaptive(rhs_mms, 0.0, T_END, exact(0.0), ctl)
+    return float(np.max(np.abs(y - exact(T_END)))), grid.ds
 
 
 def test_coupled_semi_discretization_is_second_order_in_space():
@@ -89,3 +95,36 @@ def test_coupled_semi_discretization_is_second_order_in_space():
     # moves the finest error by 1.4e-7 relative (measured)
     tighter, _ = mms_error(64, 1e-11)
     assert abs(tighter - runs[-1][0]) < 1e-5 * runs[-1][0]
+
+
+def slopes(hs, values):
+    return [math.log(v0 / v1) / math.log(h0 / h1)
+            for h0, h1, v0, v1 in zip(hs, hs[1:], values, values[1:])]
+
+
+def test_one_cash_karp_step_has_fifth_order_local_error():
+    # One step of h from y_e(0) on the coarsest grid, against the
+    # semi-discrete solution: a tol-1e-13 integrate_adaptive over the same
+    # h, at most h/10 per step, which a 100x tighter tolerance moves by at
+    # most 7e-16 (measured). The stencil's largest rate is about 2000 here, so
+    # the asymptotic range needs h well under 1e-3: at h = 5e-4 the local
+    # error's slope still reads 6.96, and below 6.25e-5 it meets round-off.
+    rhs_mms, exact_state, _ = mms_problem(16)
+    y0 = exact_state(0.0)
+    hs = (2.5e-4, 1.25e-4, 6.25e-5)
+    estimates, local_errors = [], []
+    for h in hs:
+        y5, err = cash_karp_step(rhs_mms, 0.0, y0, h)
+        exact, _ = integrate_adaptive(rhs_mms, 0.0, h, y0,
+                                      StepControl(abs_tol=1e-13, rel_tol=1e-13))
+        estimates.append(float(np.max(np.abs(err))))
+        local_errors.append(float(np.max(np.abs(y5 - exact))))
+    # measured 4.94 and 4.97 for the embedded estimate (the 4th-order
+    # solution's local error, h**5) and 6.06 and 6.04 for the propagated
+    # 5th-order solution (h**6); the gates allow 0.2 either way, which
+    # still tells each order from its neighbours
+    assert all(4.8 <= p <= 5.2 for p in slopes(hs, estimates)), estimates
+    assert all(5.8 <= p <= 6.2 for p in slopes(hs, local_errors)), local_errors
+    # measured 1.9e-10 / 6.0e-11 at the largest h and 2.0e-13 / 1.4e-14 at
+    # the smallest: the propagated solution is the more accurate one
+    assert all(e < est for e, est in zip(local_errors, estimates))
