@@ -84,10 +84,15 @@ def mms_error(n, tol):
     return float(np.max(np.abs(y - exact(T_END)))), grid.ds
 
 
+def slopes(hs, values):
+    """The log-log slope of values against hs between each neighbouring pair."""
+    return [math.log(v0 / v1) / math.log(h0 / h1)
+            for h0, h1, v0, v1 in zip(hs, hs[1:], values, values[1:])]
+
+
 def test_coupled_semi_discretization_is_second_order_in_space():
     runs = [mms_error(n, 1e-9) for n in (16, 32, 64)]
-    orders = [math.log(e0 / e1) / math.log(d0 / d1)
-              for (e0, d0), (e1, d1) in zip(runs, runs[1:])]
+    orders = slopes([ds for _, ds in runs], [e for e, _ in runs])
     # measured 1.889 and 2.077, errors 3.818e-3, 1.031e-3 and 2.444e-4
     assert all(1.85 <= p <= 2.15 for p in orders), orders
     assert runs[-1][0] < 2.7e-4  # 10% over the measured finest error
@@ -97,28 +102,24 @@ def test_coupled_semi_discretization_is_second_order_in_space():
     assert abs(tighter - runs[-1][0]) < 1e-5 * runs[-1][0]
 
 
-def slopes(hs, values):
-    return [math.log(v0 / v1) / math.log(h0 / h1)
-            for h0, h1, v0, v1 in zip(hs, hs[1:], values, values[1:])]
-
-
 def test_one_cash_karp_step_has_fifth_order_local_error():
     # One step of h from y_e(0) on the coarsest grid, against the
     # semi-discrete solution: a tol-1e-13 integrate_adaptive over the same
     # h, at most h/10 per step, which a 100x tighter tolerance moves by at
-    # most 7e-16 (measured). The stencil's largest rate is about 2000 here, so
-    # the asymptotic range needs h well under 1e-3: at h = 5e-4 the local
-    # error's slope still reads 6.96, and below 6.25e-5 it meets round-off.
-    rhs_mms, exact_state, _ = mms_problem(16)
-    y0 = exact_state(0.0)
+    # most 7e-16 (measured). The stencil's largest rate is about 2000 here,
+    # so the asymptotic range needs h well under 1e-3: at h = 5e-4 the
+    # local error's slope still reads 6.96, and below 6.25e-5 it meets
+    # round-off.
+    rhs_mms, exact, _ = mms_problem(16)
+    y0 = exact(0.0)
     hs = (2.5e-4, 1.25e-4, 6.25e-5)
     estimates, local_errors = [], []
     for h in hs:
         y5, err = cash_karp_step(rhs_mms, 0.0, y0, h)
-        exact, _ = integrate_adaptive(rhs_mms, 0.0, h, y0,
-                                      StepControl(abs_tol=1e-13, rel_tol=1e-13))
+        semi_discrete, _ = integrate_adaptive(rhs_mms, 0.0, h, y0,
+                                              StepControl(abs_tol=1e-13, rel_tol=1e-13))
         estimates.append(float(np.max(np.abs(err))))
-        local_errors.append(float(np.max(np.abs(y5 - exact))))
+        local_errors.append(float(np.max(np.abs(y5 - semi_discrete))))
     # measured 4.94 and 4.97 for the embedded estimate (the 4th-order
     # solution's local error, h**5) and 6.06 and 6.04 for the propagated
     # 5th-order solution (h**6); the gates allow 0.2 either way, which
