@@ -17,7 +17,10 @@ defaults to the workload name) and its summary is recomputed over all of
 them, so a record can be grown by later calls. With ``--trace 1`` one pair
 is run and stored as ``traced[KEY]``. Each tree runs its own run.py from
 its own root with the same ``--seed`` in a pair; seeds count up from
-``--seed-base``. A pair takes about 2 x (S + 10) seconds.
+``--seed-base``. A pair takes about 2 x (S + 10) seconds. After the pairs
+it prints one line per end-to-end metric of BENCHMARK.json, marked WORSE
+when the change's median is worse than the parent's by more than the
+metric's bound.
 """
 
 from __future__ import annotations
@@ -106,6 +109,24 @@ def summarize(pairs: list, better: dict) -> dict:
     return summary
 
 
+def end_to_end_lines(key: str, summary: dict, end_to_end: list) -> list:
+    """One line per end-to-end metric: parent and change medians, their
+    ratio, and WORSE when the change is worse than the parent by more than
+    the metric's bound (a share of the parent's median)."""
+    lines = []
+    for metric in end_to_end:
+        entry = summary.get(metric["name"])
+        if not entry:
+            continue
+        parent, change = entry["parent"]["median"], entry["change"]["median"]
+        sign = 1.0 if metric["better"] == "lower" else -1.0
+        worse = sign * (change - parent) > metric["bound"] * abs(parent)
+        ratio = f" ({entry['ratio']:.3f}x)" if "ratio" in entry else ""
+        lines.append(f"# {key} {metric['name']} median {parent:.6g} -> {change:.6g}{ratio}"
+                     + (f" WORSE (bound {metric['bound']:g})" if worse else ""))
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="root of the parent source tree")
@@ -156,6 +177,8 @@ def main(argv=None) -> int:
             print(f"# {key} wall_s median {wall['parent']['median']:.4f} -> "
                   f"{wall['change']['median']:.4f} ({wall.get('ratio', 0):.3f}x), change "
                   f"better in {wall['change_better_pairs']}/{wall['pairs']} pairs")
+        for line in end_to_end_lines(key, record["summary"], spec["end_to_end"]):
+            print(line)
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0
 

@@ -24,9 +24,9 @@ class Grid:
         self.nodes.setflags(write=False)
 
     @cached_property
-    def half_nodes_sq(self) -> np.ndarray:
-        """s_k**2 / 2 at every node, computed once per grid (read-only)."""
-        values = 0.5 * self.nodes**2
+    def half_nodes_sq_per_ds2(self) -> np.ndarray:
+        """s_k**2 / (2 ds**2) at every node, computed once per grid (read-only)."""
+        values = self.nodes**2 * (0.5 / self.ds**2)
         values.setflags(write=False)
         return values
 
@@ -53,8 +53,9 @@ def make_grid(s0: float, s1: float, n: int) -> Grid:
 
 
 def second_difference(field: np.ndarray, grid: Grid) -> np.ndarray:
-    """Periodic centered second difference (f[k+1] - 2 f[k] + f[k-1]) / ds**2.
+    """Periodic undivided second difference f[k+1] - 2 f[k] + f[k-1].
 
+    Callers own the 1/ds**2 and fold it into the coefficient they apply.
     Neighbour indices wrap modulo n. For equal end values this makes the
     time derivative at both ends identical by construction, which is how
     the repeatable boundary condition of the coupled market model is
@@ -65,11 +66,9 @@ def second_difference(field: np.ndarray, grid: Grid) -> np.ndarray:
     field = np.asarray(field)
     if field.shape[-1:] != (grid.n,):
         raise ValueError(f"field length {field.shape} does not match grid n={grid.n}")
-    inv_ds2 = 1.0 / grid.ds**2
     # one wrap-padded copy [f[-1], f..., f[0]] gives both neighbours as slices
     padded = field.take(grid.wrap_index, axis=-1)
-    # (f[k+1] - 2 f[k] + f[k-1]) * inv_ds2 in that order, in one buffer
+    # f[k+1] - 2 f[k] + f[k-1] in that order, in one buffer
     out = padded[..., 2:] - 2.0 * field
     out += padded[..., :-2]
-    out *= inv_ds2
     return out

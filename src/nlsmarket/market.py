@@ -107,18 +107,18 @@ def target_signal(t: float) -> float:
 
 def target_output(sigma_sq: np.ndarray, grid: Grid) -> float:
     """First moment of the volatility density |sigma_k|^2: sum_k s_k |sigma_k|^2 ds."""
-    return float(np.add.reduce(grid.nodes * sigma_sq) * grid.ds)
+    return float(np.dot(grid.nodes, sigma_sq) * grid.ds)
 
 
 def gaussian_kernels(
-    t: float, sigma_sq: np.ndarray, grid: Grid, one_minus_m: np.ndarray
+    t: float, sigma_sq: np.ndarray, grid: Grid, one_minus_m_sq: np.ndarray
 ) -> np.ndarray:
-    """g_i = exp(-(d (1 - m_i))^2) with d = target_output - target_signal;
-    ``one_minus_m`` holds the 1 - m_i of the run's mixing coefficients."""
+    """g_i = exp(-d^2 (1 - m_i)^2) with d = target_output - target_signal;
+    ``one_minus_m_sq`` holds the (1 - m_i)^2 of the run's mixing coefficients.
+    Up to rounding this is exp(-(d (1 - m_i))^2), except NaN for 1.0 when
+    |d| > 1e154 and m_i = 1, which m drawn from [-1, 1) never meets."""
     d = target_output(sigma_sq, grid) - target_signal(t)
-    g = d * one_minus_m
-    g *= g
-    np.negative(g, out=g)
+    g = one_minus_m_sq * -(d * d)
     return np.exp(g, out=g)
 
 
@@ -128,22 +128,29 @@ def potential(w: np.ndarray, g: np.ndarray) -> float:
 
 
 def hebbian_rhs(
-    w: np.ndarray, sigma: np.ndarray, psi: np.ndarray, g: np.ndarray, c: float
+    w: np.ndarray, sigma_sq: np.ndarray, psi_sq: np.ndarray, g: np.ndarray, c: float
 ) -> np.ndarray:
-    """dw_i/dt = -w_i + c |sigma_i| g_i |psi_i| (per-line moduli)."""
-    # the same sum as -w + (...), since IEEE addition commutes, one ufunc fewer
-    return c * np.abs(sigma) * g * np.abs(psi) - w
+    """dw_i/dt = -w_i + c |sigma_i| g_i |psi_i|, formed from the squared
+    moduli as c sqrt(|sigma_i|^2 |psi_i|^2) g_i - w_i. Up to rounding that is
+    the same, except where |sigma_i|^2 |psi_i|^2 leaves the float range:
+    |sigma_i| |psi_i| above about 1e154 (inf) or below about 1e-154."""
+    out = sigma_sq * psi_sq
+    np.sqrt(out, out=out)
+    out *= c
+    out *= g
+    out -= w
+    return out
 
 
 def coupled_rhs(
     t: float,
     y: np.ndarray,
     grid: Grid,
-    one_minus_m: np.ndarray,
+    one_minus_m_sq: np.ndarray,
     config: ModelConfig,
 ) -> np.ndarray:
     """Full coupled derivative at time t of the packed state y (see pack_state);
-    ``one_minus_m`` holds 1 - m_i (see gaussian_kernels).
+    ``one_minus_m_sq`` holds (1 - m_i)^2 (see gaussian_kernels).
 
     sigma and psi are read as the two rows of one complex (2, n) view of
     y, so y is neither copied nor modified; the result is a fresh vector in
@@ -156,19 +163,19 @@ def coupled_rhs(
     z = y[: 4 * n].view(np.complex128).reshape(2, n)
     w = y[4 * n :]
     z_sq = modulus_sq(z)
-    g = gaussian_kernels(t, z_sq[0], grid, one_minus_m)
+    g = gaussian_kernels(t, z_sq[0], grid, one_minus_m_sq)
     v = potential(w, g)
     out = np.empty(5 * n)
     dz = out[: 4 * n].view(np.complex128).reshape(2, n)
-    # both lines at once: dz/dt = i [ (1/2) s^2 |other line|^2 Lap(z) - q z ]
-    # with the cubic coefficients q = (V |sigma|^2, |psi|^2 + r)
+    # both lines at once: dz/dt = i [ s^2/(2 ds^2) |other line|^2 D(z) - q z ] with
+    # D the undivided stencil and the cubic coefficients q = (V |sigma|^2, |psi|^2 + r)
     q = z_sq.copy()
     q[0] *= v
     q[1] += config.r
-    bracket = grid.half_nodes_sq * z_sq[::-1] * second_difference(z, grid)
+    bracket = grid.half_nodes_sq_per_ds2 * z_sq[::-1] * second_difference(z, grid)
     bracket -= q * z
     np.multiply(bracket, 1j, out=dz)
-    out[4 * n :] = hebbian_rhs(w, z[0], z[1], g, config.c)
+    out[4 * n :] = hebbian_rhs(w, z_sq[0], z_sq[1], g, config.c)
     return out
 
 
@@ -246,11 +253,11 @@ def run_simulation(config: ModelConfig) -> SimulationRecord:
     """
     grid = make_grid(config.s0, config.s1, config.n)
     y0, m = init_state(config)
-    one_minus_m = 1.0 - m
+    one_minus_m_sq = (1.0 - m) ** 2
     n = config.n
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return coupled_rhs(t, y, grid, one_minus_m, config)
+        return coupled_rhs(t, y, grid, one_minus_m_sq, config)
 
     times = _snapshot_times(config.t_end, config.snapshot_stride)
     store = np.empty((len(times), 5 * n))
@@ -268,7 +275,7 @@ def run_simulation(config: ModelConfig) -> SimulationRecord:
             sigma=sigma,
             psi=fields[:, n:],
             w=rows[:, 4 * n :],
-            g=np.array([gaussian_kernels(t, modulus_sq(s), grid, one_minus_m)
+            g=np.array([gaussian_kernels(t, modulus_sq(s), grid, one_minus_m_sq)
                         for t, s in zip(times, sigma)]),
             stats=stats,
             completed=completed,

@@ -10,8 +10,6 @@ import math
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
-from nlsmarket.grid import second_difference
-
 
 def dense_second_difference(n: int, ds: float) -> np.ndarray:
     """Explicit (n, n) matrix of the periodic second-difference operator."""
@@ -23,24 +21,24 @@ def dense_second_difference(n: int, ds: float) -> np.ndarray:
     return a / ds**2
 
 
-def roll_second_difference(field: np.ndarray, ds: float) -> np.ndarray:
-    """Periodic second difference from np.roll, in the stencil's operation order.
+def roll_second_difference(field: np.ndarray) -> np.ndarray:
+    """Periodic undivided second difference from np.roll, in the stencil's
+    operation order.
 
     The library's periodic branch must reproduce this bit for bit.
     """
-    inv_ds2 = 1.0 / ds**2
-    return (np.roll(field, -1) - 2.0 * field + np.roll(field, 1)) * inv_ds2
+    return np.roll(field, -1) - 2.0 * field + np.roll(field, 1)
 
 
 def coupled_rhs_oracle(t, sigma, psi, w, grid, m, r, c, laps=None):
     """The coupled market derivative assembled field by field.
 
-    Moduli come from np.abs(.)**2, each line gets its own stencil call,
-    and the kernels, potential and Hebbian rule are written out here, so
-    the library's flat right-hand side is checked against a second
-    assembly of the same equations. ``laps`` = (Lap sigma, Lap psi), when
-    given, replaces the two stencil calls, e.g. with exact second
-    derivatives. Returns (d_sigma, d_psi, d_w).
+    Moduli come from np.abs(.)**2, each line's Laplacian is the dense
+    second-difference matrix applied to it, and the kernels, potential and
+    Hebbian rule are written out here, so the library's flat right-hand
+    side is checked against a second assembly of the same equations.
+    ``laps`` = (Lap sigma, Lap psi), when given, replaces the two matrix
+    products, e.g. with exact second derivatives. Returns (d_sigma, d_psi, d_w).
     """
     abs_sigma2 = np.abs(sigma) ** 2
     abs_psi2 = np.abs(psi) ** 2
@@ -49,7 +47,8 @@ def coupled_rhs_oracle(t, sigma, psi, w, grid, m, r, c, laps=None):
     g = np.exp(-((d * (1.0 - m)) ** 2))
     v = np.sum(w * g)
     if laps is None:
-        laps = second_difference(sigma, grid), second_difference(psi, grid)
+        dense = dense_second_difference(grid.n, grid.ds)
+        laps = dense @ sigma, dense @ psi
     lap_sigma, lap_psi = laps
     d_sigma = 1j * (half_s2 * abs_psi2 * lap_sigma - v * abs_sigma2 * sigma)
     d_psi = 1j * (half_s2 * abs_sigma2 * lap_psi - abs_psi2 * psi - r * psi)

@@ -200,8 +200,8 @@ def test_09_randomized_invariant_suites():
             rng.normal(size=16),
         )
         t = float(rng.uniform(0.0, 360.0))
-        one_minus_m = 1.0 - rng.uniform(-1.0, 1.0, 16)
-        g = gaussian_kernels(t, np.abs(sigma) ** 2, grid, one_minus_m)
+        one_minus_m_sq = (1.0 - rng.uniform(-1.0, 1.0, 16)) ** 2
+        g = gaussian_kernels(t, np.abs(sigma) ** 2, grid, one_minus_m_sq)
         assert np.all(g > 0.0) and np.all(g <= 1.0)
 
     # no-arbitrage bounds

@@ -3,7 +3,7 @@ name, and its set-up probe (perfbench/run.py) imports and calls the
 program's start-up path. A refactor that drops or renames one of those
 names breaks the benchmark but no other test, and the benchmark's own tests
 (``python -m pytest perfbench``) take about 18 s outside this suite. These
-two fast checks read both files and change neither."""
+fast checks read both files and change neither."""
 
 import ast
 import importlib
@@ -40,6 +40,29 @@ def test_every_traced_name_resolves_to_a_callable(monkeypatch):
     monkeypatch.setattr(market, "pack_state", counting)
     run_simulation(ModelConfig(n=8, t_end=1.0))
     assert len(calls) == 1
+
+
+def test_market_run_calls_the_rhs_and_stencil_through_the_market_module(monkeypatch):
+    # the traced market workloads require the market.coupled_rhs and
+    # grid.second_difference spans, which the tracer opens by patching these
+    # two attributes of nlsmarket.market: a run that inlines the stencil or
+    # binds the rhs before the patch records neither
+    calls = {"coupled_rhs": 0, "second_difference": 0}
+
+    def counting(name):
+        original = getattr(market, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(market, name, counting(name))
+    run_simulation(ModelConfig(n=8, t_end=1.0))
+    assert calls["coupled_rhs"] > 0
+    assert calls["second_difference"] == calls["coupled_rhs"]
 
 
 def test_setup_probe_runs(tmp_path):

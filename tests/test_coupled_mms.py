@@ -71,7 +71,7 @@ def mms_problem(n):
         fields, rates, laps = manufactured(t, n, cfg.r)
         model = coupled_rhs_oracle(t, *fields, grid, m, cfg.r, cfg.c, laps=laps)
         source = pack_state(*(rate - f for rate, f in zip(rates, model)))
-        return coupled_rhs(t, y, grid, 1.0 - m, cfg) + source
+        return coupled_rhs(t, y, grid, (1.0 - m) ** 2, cfg) + source
 
     return rhs_mms, lambda t: pack_state(*manufactured(t, n, cfg.r)[0]), grid
 

@@ -211,7 +211,7 @@ def market_system_and_state():
     y0, m = init_state(cfg)
 
     def rhs(t, y):
-        return coupled_rhs(t, y, grid, 1.0 - m, cfg)
+        return coupled_rhs(t, y, grid, (1.0 - m) ** 2, cfg)
 
     return rhs, y0
 

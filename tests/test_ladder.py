@@ -249,11 +249,12 @@ POTENTIAL_RHS = [heat_potential_rhs, linear_schrodinger_rhs, nls_rhs]
 POTENTIAL_IDS = [fn.__name__ for fn in POTENTIAL_RHS]
 
 # each potential right-hand side as one allocating expression in the
-# library's operation order, with a per-node potential array vv
+# library's operation order, with a per-node potential array vv; the heat
+# term ``diffusion`` is (0.5 / ds**2) times the undivided stencil
 PER_NODE = {
-    heat_potential_rhs: lambda lap, f, vv: 0.5 * lap + vv * f,
-    linear_schrodinger_rhs: lambda lap, f, vv: 1j * (0.5 * lap - vv * f),
-    nls_rhs: lambda lap, f, vv: 1j * (0.5 * lap - vv * np.abs(f) ** 2 * f),
+    heat_potential_rhs: lambda diffusion, f, vv: diffusion + vv * f,
+    linear_schrodinger_rhs: lambda diffusion, f, vv: 1j * (diffusion - vv * f),
+    nls_rhs: lambda diffusion, f, vv: 1j * (diffusion - vv * np.abs(f) ** 2 * f),
 }
 
 
@@ -278,10 +279,10 @@ def test_scalar_potential_stays_a_float():
 def test_scalar_potential_matches_its_full_array_bit_for_bit(rhs, n):
     grid = make_grid(-20.0, 20.0, n)
     f = random_field(n, n)
-    lap = roll_second_difference(f, grid.ds)
+    diffusion = (0.5 / grid.ds**2) * roll_second_difference(f)
     for v in (1.0, -1.0, 0.37, -2.9e-3):
         got = rhs(f, grid, v)
-        tabulated = PER_NODE[rhs](lap, f, np.full(n, v))
+        tabulated = PER_NODE[rhs](diffusion, f, np.full(n, v))
         assert got.dtype == tabulated.dtype == np.complex128
         assert got.tobytes() == tabulated.tobytes()
 
@@ -289,16 +290,18 @@ def test_scalar_potential_matches_its_full_array_bit_for_bit(rhs, n):
 @pytest.mark.parametrize("n", [201, 801])
 def test_ladder_rhs_match_their_plain_expressions_bit_for_bit(n):
     # each right-hand side written as one allocating expression in the
-    # library's operation order, with the np.roll stencil oracle
+    # library's operation order, with the undivided np.roll stencil oracle
+    # scaled by the one coefficient 0.5 / ds**2
     grid = make_grid(-20.0, 20.0, n)
     f = random_field(n, n + 1)
-    lap = roll_second_difference(f, grid.ds)
+    lap = roll_second_difference(f)
+    coef = 0.5 / grid.ds**2
     v = np.full(n, -0.73)
     expected = {
-        "heat": 0.5 * lap,
-        "heat-potential": 0.5 * lap + v * f,
-        "linear": 1j * (0.5 * lap - v * f),
-        "nls": 1j * (0.5 * lap - v * np.abs(f) ** 2 * f),
+        "heat": coef * lap,
+        "heat-potential": coef * lap + v * f,
+        "linear": 1j * (coef * lap - v * f),
+        "nls": 1j * (coef * lap - v * np.abs(f) ** 2 * f),
     }
     got = {
         "heat": heat_rhs(f, grid),

@@ -31,9 +31,9 @@ def small_config(**kw):
     return ModelConfig(**base)
 
 
-def rhs_of(t, state, grid, one_minus_m, cfg):
+def rhs_of(t, state, grid, one_minus_m_sq, cfg):
     """The flat coupled_rhs on a packed (sigma, psi, w), unpacked again."""
-    return unpack_state(coupled_rhs(t, pack_state(*state), grid, one_minus_m, cfg), cfg.n)
+    return unpack_state(coupled_rhs(t, pack_state(*state), grid, one_minus_m_sq, cfg), cfg.n)
 
 
 def density(sigma):
@@ -71,10 +71,10 @@ def test_target_output_examples():
 
 def test_gaussian_kernel_examples():
     grid = make_grid(10.0, 20.0, 5)
-    one_minus_m = 1.0 - np.array([0.0, 0.5, 1.0, -0.5, 0.9])
+    one_minus_m_sq = (1.0 - np.array([0.0, 0.5, 1.0, -0.5, 0.9])) ** 2
 
     # sigma = 0 at t = 0 gives d = 0, so every kernel is exactly one
-    assert np.all(gaussian_kernels(0.0, density(np.zeros(5)), grid, one_minus_m) == 1.0)
+    assert np.all(gaussian_kernels(0.0, density(np.zeros(5)), grid, one_minus_m_sq) == 1.0)
 
     # build d = 1 by putting all the density on one node
     j = 2
@@ -82,10 +82,33 @@ def test_gaussian_kernel_examples():
     sigma = np.zeros(5)
     sigma[j] = amp
     assert target_output(density(sigma), grid) == pytest.approx(1.0, rel=1e-12)
-    g = gaussian_kernels(0.0, density(sigma), grid, one_minus_m)
+    g = gaussian_kernels(0.0, density(sigma), grid, one_minus_m_sq)
     assert g[0] == pytest.approx(np.exp(-1.0), rel=1e-12)  # m = 0
     assert g[2] == pytest.approx(1.0, rel=1e-14)  # m = 1 kills the exponent
     assert np.all((g > 0.0) & (g <= 1.0))
+
+
+def test_gaussian_kernels_match_the_squared_product_form():
+    # exp(-d^2 (1 - m)^2) against exp(-(d (1 - m))^2) over d in [-20, 20] and
+    # m in [-1, 1). Nodes [-1, 0, 1] with ds = 1 put d = a exactly at t = 0.
+    # The exponent's rounding enters exp(-x) as a relative x * 2^-52 error,
+    # so the kernels below exp(-15) are held by the absolute 1e-20 instead.
+    grid = make_grid(-1.0, 1.0, 3)
+    rng = np.random.default_rng(13)
+    m = np.concatenate([np.linspace(-1.0, 1.0, 2000, endpoint=False),
+                        rng.uniform(-1.0, 1.0, 2000)])
+
+    def kernels(d, one_minus_m_sq):
+        sigma_sq = np.array([max(-d, 0.0), 0.0, max(d, 0.0)])
+        return gaussian_kernels(0.0, sigma_sq, grid, one_minus_m_sq)
+
+    for d in np.concatenate([np.linspace(-20.0, 20.0, 401), rng.uniform(-20.0, 20.0, 400)]):
+        want = np.exp(-((d * (1.0 - m)) ** 2))
+        assert np.allclose(kernels(d, (1.0 - m) ** 2), want, rtol=1e-14, atol=1e-20)
+    # exactly one at d = 0 and at m = 1
+    assert np.all(kernels(0.0, (1.0 - m) ** 2) == 1.0)
+    for d in (-20.0, -1e-3, 7.5, 20.0):
+        assert kernels(d, np.zeros(1))[0] == 1.0
 
 
 def test_potential_examples():
@@ -102,17 +125,37 @@ def test_potential_examples():
 
 def test_hebbian_examples():
     w = np.array([0.5, -0.25, 0.1])
-    sigma = np.full(3, 0.3 + 0.0j)
-    psi = np.full(3, 1.2 + 0.0j)
+    sigma_sq = np.full(3, 0.3**2)  # |sigma| = 0.3 and |psi| = 1.2
+    psi_sq = np.full(3, 1.2**2)
     g = np.array([0.9, 0.8, 0.7])
 
-    assert np.array_equal(hebbian_rhs(w, sigma, psi, g, 0.0), -w)
+    assert np.array_equal(hebbian_rhs(w, sigma_sq, psi_sq, g, 0.0), -w)
 
-    assert np.all(hebbian_rhs(np.zeros(3), sigma, psi, g, 2.0) > 0.0)
+    assert np.all(hebbian_rhs(np.zeros(3), sigma_sq, psi_sq, g, 2.0) > 0.0)
 
     c = 1.7
     fixed = c * 0.3 * g * 1.2
-    assert np.allclose(hebbian_rhs(fixed, sigma, psi, g, c), 0.0, atol=1e-15)
+    assert np.allclose(hebbian_rhs(fixed, sigma_sq, psi_sq, g, c), 0.0, atol=1e-15)
+
+
+def test_hebbian_rhs_matches_the_product_of_moduli():
+    # c sqrt(|sigma|^2 |psi|^2) g - w against c |sigma| g |psi| - w at the
+    # model's amplitudes (|sigma| <= 0.25, psi ~ 1, |w| <= 1). The two terms
+    # can cancel, so the 1e-15 is relative to their size, not to the result.
+    rng = np.random.default_rng(19)
+    n = 30
+    for trial in range(200):
+        sigma = 0.25 * rng.uniform(0.0, 1.0, n) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
+        psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+        w = rng.uniform(-1.0, 1.0, n) if trial % 2 else np.zeros(n)
+        g = rng.uniform(0.0, 1.0, n)
+        c = rng.uniform(0.0, 2.0)
+        product = c * np.abs(sigma) * g * np.abs(psi)
+        got = hebbian_rhs(w, modulus_sq(sigma), modulus_sq(psi), g, c)
+        assert np.all(np.abs(got - (product - w)) <= 1e-15 * (product + np.abs(w)))
+        # no learning, or no volatility, leaves the pure decay -w exactly
+        assert np.array_equal(hebbian_rhs(w, modulus_sq(sigma), modulus_sq(psi), g, 0.0), -w)
+        assert np.array_equal(hebbian_rhs(w, np.zeros(n), modulus_sq(psi), g, c), -w)
 
 
 def test_coupled_rhs_fixed_point():
@@ -129,10 +172,10 @@ def test_coupled_rhs_modulus_preserving_when_psi_zero():
     cfg = small_config()
     grid = make_grid(cfg.s0, cfg.s1, cfg.n)
     rng = np.random.default_rng(23)
-    one_minus_m = 1.0 - rng.uniform(-1, 1, cfg.n)
+    one_minus_m_sq = (1.0 - rng.uniform(-1, 1, cfg.n)) ** 2
     sigma = rng.normal(size=cfg.n) + 1j * rng.normal(size=cfg.n)
     state = (sigma, np.zeros(cfg.n), rng.normal(size=cfg.n))
-    d_sigma, _, _ = rhs_of(0.1, state, grid, one_minus_m, cfg)
+    d_sigma, _, _ = rhs_of(0.1, state, grid, one_minus_m_sq, cfg)
     # phase rotation only: d|sigma|^2/dt = 2 Re(conj(sigma) dsigma) = 0
     assert np.allclose((np.conj(sigma) * d_sigma).real, 0.0, atol=1e-12)
 
@@ -143,7 +186,7 @@ def test_coupled_rhs_matches_single_node_oracle_at_start_values():
     y0, m = init_state(cfg)
     sigma, psi, w = unpack_state(y0, cfg.n)
     t = 0.0
-    d_sigma, d_psi, d_w = unpack_state(coupled_rhs(t, y0, grid, 1.0 - m, cfg), cfg.n)
+    d_sigma, d_psi, d_w = unpack_state(coupled_rhs(t, y0, grid, (1.0 - m) ** 2, cfg), cfg.n)
 
     # hand-assembled: spatially constant fields kill both diffusion terms
     d_oracle = sum(grid.nodes[k] * 0.25**2 * grid.ds for k in range(cfg.n)) - 2.0 * np.sin(
@@ -171,7 +214,7 @@ def test_flat_rhs_matches_field_by_field_oracle(n):
         sigma = 0.1 * (rng.normal(size=n) + 1j * rng.normal(size=n))
         psi = rng.normal(size=n) + 1j * rng.normal(size=n)
         w = rng.uniform(-1, 1, n)
-        d = rhs_of(t, (sigma, psi, w), grid, 1.0 - m, cfg)
+        d = rhs_of(t, (sigma, psi, w), grid, (1.0 - m) ** 2, cfg)
         oracle = coupled_rhs_oracle(t, sigma, psi, w, grid, m, cfg.r, cfg.c)
         for got, want in zip(d, oracle):  # sigma, psi, w
             assert np.allclose(got, want, rtol=1e-13, atol=0)
@@ -181,11 +224,11 @@ def test_flat_rhs_neither_mutates_nor_aliases_its_state():
     cfg = small_config(n=8)
     grid = make_grid(cfg.s0, cfg.s1, cfg.n)
     rng = np.random.default_rng(5)
-    one_minus_m = 1.0 - rng.uniform(-1, 1, cfg.n)
+    one_minus_m_sq = (1.0 - rng.uniform(-1, 1, cfg.n)) ** 2
     y = rng.normal(size=5 * cfg.n)
     before = y.copy()
     y.setflags(write=False)  # any write into the state raises
-    out = coupled_rhs(0.4, y, grid, one_minus_m, cfg)
+    out = coupled_rhs(0.4, y, grid, one_minus_m_sq, cfg)
     assert np.array_equal(y, before)
     assert out.shape == y.shape
     assert not np.shares_memory(out, y)
@@ -202,7 +245,7 @@ def test_endpoint_derivatives_agree_under_wrap():
     cfg = small_config(n=12)
     grid = make_grid(cfg.s0, cfg.s1, cfg.n)
     y0, m = init_state(cfg)
-    d_sigma, d_psi, _ = unpack_state(coupled_rhs(0.0, y0, grid, 1.0 - m, cfg), cfg.n)
+    d_sigma, d_psi, _ = unpack_state(coupled_rhs(0.0, y0, grid, (1.0 - m) ** 2, cfg), cfg.n)
     # spatially constant state: the repeatable-BC residual is exactly zero
     assert d_sigma[0] == d_sigma[-1]
     assert d_psi[0] == d_psi[-1]
@@ -214,13 +257,13 @@ def test_wrap_stencil_wiring():
     scale = 1.0 / grid.ds**2
     assert dense[0, 5] == scale and dense[0, 0] == -2.0 * scale and dense[0, 1] == scale
     assert dense[5, 4] == scale and dense[5, 5] == -2.0 * scale and dense[5, 0] == scale
-    # the library operator realizes exactly those rows
+    # the library's undivided operator realizes exactly those rows times ds**2
     from nlsmarket import second_difference
 
     for k in (0, 5):
         basis = np.zeros(6)
         basis[k] = 1.0
-        assert np.allclose(second_difference(basis, grid), dense[:, k])
+        assert np.allclose(second_difference(basis, grid) * scale, dense[:, k])
 
 
 def test_init_state_values_and_seeding():
@@ -366,11 +409,11 @@ def test_finite_derivative_whose_sum_overflows_is_returned():
     # every dw_i = 1e308 is finite, but their sum overflows
     cfg = small_config()
     grid = make_grid(cfg.s0, cfg.s1, cfg.n)
-    one_minus_m = 1.0 - np.full(cfg.n, -1.0)  # g_i = exp(-16) keeps V finite
+    one_minus_m_sq = (1.0 - np.full(cfg.n, -1.0)) ** 2  # g_i = exp(-16) keeps V finite
     state = (np.zeros(cfg.n), np.zeros(cfg.n), np.full(cfg.n, -1e308))
     # the errstate cash_karp_step sets around every rhs call
     with np.errstate(over="ignore", invalid="ignore"):
-        d_sigma, d_psi, d_w = rhs_of(np.pi / 120.0, state, grid, one_minus_m, cfg)
+        d_sigma, d_psi, d_w = rhs_of(np.pi / 120.0, state, grid, one_minus_m_sq, cfg)
     assert np.all(d_w == 1e308)
     assert np.all(d_sigma == 0.0) and np.all(d_psi == 0.0)
 
@@ -423,5 +466,7 @@ def test_partial_record_rows_agree():
         assert np.array_equal(getattr(rec, name), getattr(full, name)[:rows])
     grid = make_grid(cfg.s0, cfg.s1, cfg.n)
     _, m = init_state(cfg)
-    g = [gaussian_kernels(t, modulus_sq(s), grid, 1.0 - m) for t, s in zip(rec.times, rec.sigma)]
+    one_minus_m_sq = (1.0 - m) ** 2
+    g = [gaussian_kernels(t, modulus_sq(s), grid, one_minus_m_sq)
+         for t, s in zip(rec.times, rec.sigma)]
     assert np.array_equal(rec.g, g)
