@@ -20,7 +20,8 @@ its own root with the same ``--seed`` in a pair; seeds count up from
 ``--seed-base``. A pair takes about 2 x (S + 10) seconds. After the pairs
 it prints one line per end-to-end metric of BENCHMARK.json, marked WORSE
 when the change's median is worse than the parent's by more than the
-metric's bound.
+metric's bound, and UNRESOLVED when the parent's own spread is wider than
+the bound and the runs of the two sides overlap.
 """
 
 from __future__ import annotations
@@ -89,8 +90,8 @@ def run_pair(trees: dict, workload: str, seed: int, seconds: float, trace: int,
 
 
 def summarize(pairs: list, better: dict) -> dict:
-    """Median and quartiles per side and metric, and in how many pairs the
-    change was better (strictly, in the metric's declared direction)."""
+    """Median, quartiles and range per side and metric, and in how many pairs
+    the change was better (strictly, in the metric's declared direction)."""
     summary = {"failed": {side: sum(p[side]["failed"] for p in pairs) for side in SIDES}}
     names = sorted(set(pairs[0]["parent"]["metrics"]) & set(pairs[0]["change"]["metrics"]))
     for name in names:
@@ -99,7 +100,8 @@ def summarize(pairs: list, better: dict) -> dict:
         entry = {"pairs": len(pairs)}
         for side in SIDES:
             q1, med, q3 = np.percentile(values[side], [25, 50, 75])
-            entry[side] = {"median": float(med), "q1": float(q1), "q3": float(q3)}
+            entry[side] = {"median": float(med), "q1": float(q1), "q3": float(q3),
+                           "min": float(values[side].min()), "max": float(values[side].max())}
         sign = -1.0 if better.get(name, "lower") == "lower" else 1.0
         entry["change_better_pairs"] = int(np.sum(sign * (values["change"]
                                                           - values["parent"]) > 0))
@@ -111,19 +113,30 @@ def summarize(pairs: list, better: dict) -> dict:
 
 def end_to_end_lines(key: str, summary: dict, end_to_end: list) -> list:
     """One line per end-to-end metric: parent and change medians, their
-    ratio, and WORSE when the change is worse than the parent by more than
-    the metric's bound (a share of the parent's median)."""
+    ratio, WORSE when the change is worse than the parent by more than the
+    metric's bound (a share of the parent's median), and UNRESOLVED when
+    the parent's interquartile range is wider than that bound and the
+    change's worst run does not beat the parent's best run."""
     lines = []
     for metric in end_to_end:
         entry = summary.get(metric["name"])
         if not entry:
             continue
-        parent, change = entry["parent"]["median"], entry["change"]["median"]
-        sign = 1.0 if metric["better"] == "lower" else -1.0
-        worse = sign * (change - parent) > metric["bound"] * abs(parent)
+        parent, change = entry["parent"], entry["change"]
+        bound = metric["bound"] * abs(parent["median"])
+        if metric["better"] == "lower":
+            worse = change["median"] - parent["median"] > bound
+            overlap = change["max"] >= parent["min"]
+        else:
+            worse = parent["median"] - change["median"] > bound
+            overlap = change["min"] <= parent["max"]
+        unresolved = parent["q3"] - parent["q1"] > bound and overlap
         ratio = f" ({entry['ratio']:.3f}x)" if "ratio" in entry else ""
-        lines.append(f"# {key} {metric['name']} median {parent:.6g} -> {change:.6g}{ratio}"
-                     + (f" WORSE (bound {metric['bound']:g})" if worse else ""))
+        lines.append(f"# {key} {metric['name']} median {parent['median']:.6g} -> "
+                     f"{change['median']:.6g}{ratio}"
+                     + (f" WORSE (bound {metric['bound']:g})" if worse else "")
+                     + (f" UNRESOLVED (parent IQR over bound {metric['bound']:g})"
+                        if unresolved else ""))
     return lines
 
 

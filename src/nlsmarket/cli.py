@@ -137,8 +137,6 @@ def config_pairs(config: ModelConfig) -> List[Tuple[str, object]]:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
     return format(float(x), ".17g")
 
 

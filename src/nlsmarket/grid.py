@@ -14,8 +14,6 @@ from .errors import ConfigError
 class Grid:
     """Uniform 1-D grid of n nodes over the price interval [s0, s1]."""
 
-    s0: float
-    s1: float
     n: int
     ds: float
     nodes: np.ndarray
@@ -49,7 +47,7 @@ def make_grid(s0: float, s1: float, n: int) -> Grid:
         raise ConfigError(f"grid interval must satisfy s1 > s0, got [{s0}, {s1}]")
     ds = (s1 - s0) / (n - 1)
     nodes = np.linspace(float(s0), float(s1), int(n))
-    return Grid(s0=float(s0), s1=float(s1), n=int(n), ds=ds, nodes=nodes)
+    return Grid(n=int(n), ds=ds, nodes=nodes)
 
 
 def second_difference(field: np.ndarray, grid: Grid) -> np.ndarray:

@@ -80,7 +80,7 @@ def nls_rhs(field: np.ndarray, grid: Grid, v: float) -> np.ndarray:
 def mass(field: np.ndarray, grid: Grid) -> float:
     """Riemann-sum mass: sum |f_k|^2 ds. Non-negative; zero iff f is zero."""
     field = np.asarray(field)
-    return float(np.sum(np.abs(field) ** 2).real * grid.ds)
+    return float(np.sum(np.abs(field) ** 2) * grid.ds)
 
 
 def energy(field: np.ndarray, grid: Grid, v: float) -> float:

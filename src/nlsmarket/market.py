@@ -93,13 +93,6 @@ class ModelConfig:
             )
 
 
-def modulus_sq(z: np.ndarray) -> np.ndarray:
-    """|z|^2 as re^2 + im^2 along the last axis of a C-contiguous complex array."""
-    parts = z.view(np.float64)
-    sq = parts * parts
-    return sq[..., 0::2] + sq[..., 1::2]
-
-
 def target_signal(t: float) -> float:
     """Reference signal y = 2 sin(60 t)."""
     return 2.0 * math.sin(60.0 * t)
@@ -128,14 +121,10 @@ def potential(w: np.ndarray, g: np.ndarray) -> float:
 
 
 def hebbian_rhs(
-    w: np.ndarray, sigma_sq: np.ndarray, psi_sq: np.ndarray, g: np.ndarray, c: float
+    w: np.ndarray, sigma_abs: np.ndarray, psi_abs: np.ndarray, g: np.ndarray, c: float
 ) -> np.ndarray:
-    """dw_i/dt = -w_i + c |sigma_i| g_i |psi_i|, formed from the squared
-    moduli as c sqrt(|sigma_i|^2 |psi_i|^2) g_i - w_i. Up to rounding that is
-    the same, except where |sigma_i|^2 |psi_i|^2 leaves the float range:
-    |sigma_i| |psi_i| above about 1e154 (inf) or below about 1e-154."""
-    out = sigma_sq * psi_sq
-    np.sqrt(out, out=out)
+    """dw_i/dt = -w_i + c |sigma_i| g_i |psi_i|, from the moduli |sigma_i| and |psi_i|."""
+    out = sigma_abs * psi_abs
     out *= c
     out *= g
     out -= w
@@ -162,7 +151,8 @@ def coupled_rhs(
     n = grid.n
     z = y[: 4 * n].view(np.complex128).reshape(2, n)
     w = y[4 * n :]
-    z_sq = modulus_sq(z)
+    z_abs = np.abs(z)
+    z_sq = z_abs ** 2
     g = gaussian_kernels(t, z_sq[0], grid, one_minus_m_sq)
     v = potential(w, g)
     out = np.empty(5 * n)
@@ -175,7 +165,7 @@ def coupled_rhs(
     bracket = grid.half_nodes_sq_per_ds2 * z_sq[::-1] * second_difference(z, grid)
     bracket -= q * z
     np.multiply(bracket, 1j, out=dz)
-    out[4 * n :] = hebbian_rhs(w, z_sq[0], z_sq[1], g, config.c)
+    out[4 * n :] = hebbian_rhs(w, z_abs[0], z_abs[1], g, config.c)
     return out
 
 
@@ -275,7 +265,7 @@ def run_simulation(config: ModelConfig) -> SimulationRecord:
             sigma=sigma,
             psi=fields[:, n:],
             w=rows[:, 4 * n :],
-            g=np.array([gaussian_kernels(t, modulus_sq(s), grid, one_minus_m_sq)
+            g=np.array([gaussian_kernels(t, np.abs(s) ** 2, grid, one_minus_m_sq)
                         for t, s in zip(times, sigma)]),
             stats=stats,
             completed=completed,

@@ -513,6 +513,29 @@ def test_non_finite_config_value_is_config_error(key, value, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "config, seeds, message",
+    [("h_max = 1e-4\n", None, "need h_init <= h_max"),  # below the default h_init
+     ("max_steps = 0\n", None, "max_steps must be at least 1"),
+     ("s0 = 10\ns1 = 5\n", None, "price bounds must satisfy s1 > s0"),
+     ("t_end = 1\n", "1,x", "bad --seeds list")],
+    ids=["h_max-below-h_init", "max_steps-zero", "price-bounds", "bad-seeds"],
+)
+def test_config_error_exits_1_with_one_error_line(config, seeds, message, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "out"
+    if seeds is None:
+        argv = ["run-market", "--config", str(cfg), "--out", str(out)]
+    else:
+        argv = ["sweep", "--config", str(cfg), "--out", str(out), "--seeds", seeds]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_sweep_rejects_worker_count_below_one(workers, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"

@@ -20,7 +20,7 @@ from nlsmarket import (
     target_signal,
 )
 from nlsmarket.integrator import _scaled_error_norm
-from nlsmarket.market import _snapshot_times, modulus_sq, pack_state, unpack_state
+from nlsmarket.market import _snapshot_times, pack_state, unpack_state
 
 from oracles import coupled_rhs_oracle, dense_second_difference
 
@@ -125,21 +125,21 @@ def test_potential_examples():
 
 def test_hebbian_examples():
     w = np.array([0.5, -0.25, 0.1])
-    sigma_sq = np.full(3, 0.3**2)  # |sigma| = 0.3 and |psi| = 1.2
-    psi_sq = np.full(3, 1.2**2)
+    sigma_abs = np.full(3, 0.3)
+    psi_abs = np.full(3, 1.2)
     g = np.array([0.9, 0.8, 0.7])
 
-    assert np.array_equal(hebbian_rhs(w, sigma_sq, psi_sq, g, 0.0), -w)
+    assert np.array_equal(hebbian_rhs(w, sigma_abs, psi_abs, g, 0.0), -w)
 
-    assert np.all(hebbian_rhs(np.zeros(3), sigma_sq, psi_sq, g, 2.0) > 0.0)
+    assert np.all(hebbian_rhs(np.zeros(3), sigma_abs, psi_abs, g, 2.0) > 0.0)
 
     c = 1.7
     fixed = c * 0.3 * g * 1.2
-    assert np.allclose(hebbian_rhs(fixed, sigma_sq, psi_sq, g, c), 0.0, atol=1e-15)
+    assert np.allclose(hebbian_rhs(fixed, sigma_abs, psi_abs, g, c), 0.0, atol=1e-15)
 
 
 def test_hebbian_rhs_matches_the_product_of_moduli():
-    # c sqrt(|sigma|^2 |psi|^2) g - w against c |sigma| g |psi| - w at the
+    # against c |sigma| g |psi| - w in the paper's factor order, at the
     # model's amplitudes (|sigma| <= 0.25, psi ~ 1, |w| <= 1). The two terms
     # can cancel, so the 1e-15 is relative to their size, not to the result.
     rng = np.random.default_rng(19)
@@ -151,11 +151,11 @@ def test_hebbian_rhs_matches_the_product_of_moduli():
         g = rng.uniform(0.0, 1.0, n)
         c = rng.uniform(0.0, 2.0)
         product = c * np.abs(sigma) * g * np.abs(psi)
-        got = hebbian_rhs(w, modulus_sq(sigma), modulus_sq(psi), g, c)
+        got = hebbian_rhs(w, np.abs(sigma), np.abs(psi), g, c)
         assert np.all(np.abs(got - (product - w)) <= 1e-15 * (product + np.abs(w)))
         # no learning, or no volatility, leaves the pure decay -w exactly
-        assert np.array_equal(hebbian_rhs(w, modulus_sq(sigma), modulus_sq(psi), g, 0.0), -w)
-        assert np.array_equal(hebbian_rhs(w, np.zeros(n), modulus_sq(psi), g, c), -w)
+        assert np.array_equal(hebbian_rhs(w, np.abs(sigma), np.abs(psi), g, 0.0), -w)
+        assert np.array_equal(hebbian_rhs(w, np.zeros(n), np.abs(psi), g, c), -w)
 
 
 def test_coupled_rhs_fixed_point():
@@ -232,13 +232,6 @@ def test_flat_rhs_neither_mutates_nor_aliases_its_state():
     assert np.array_equal(y, before)
     assert out.shape == y.shape
     assert not np.shares_memory(out, y)
-
-
-def test_modulus_sq_is_re2_plus_im2():
-    z = np.array([[3.0 + 4.0j, -1.5 + 0.0j], [0.0 - 2.0j, 1e-3 + 1e3j]])
-    assert np.array_equal(modulus_sq(z), z.real**2 + z.imag**2)
-    assert np.array_equal(modulus_sq(z[1]), [4.0, 1e-6 + 1e6])
-    assert np.allclose(modulus_sq(z), np.abs(z) ** 2, rtol=1e-15)
 
 
 def test_endpoint_derivatives_agree_under_wrap():
@@ -445,6 +438,25 @@ def test_budget_failure_attaches_partial_record():
     assert rec.stats.accepted + rec.stats.rejected == 25
 
 
+def test_budget_spent_exactly_at_a_snapshot():
+    # the first segment of a two-day run takes the steps of a one-day run, so
+    # a budget of exactly that many runs out as the second segment begins
+    one_day = run_simulation(small_config(t_end=1.0)).stats
+    spent = one_day.accepted + one_day.rejected
+    cfg = small_config(control=StepControl(abs_tol=1e-6, rel_tol=1e-6, max_steps=spent))
+    with pytest.raises(StepBudgetError, match=rf"^step budget of {spent} exhausted at t=1\.0$") as exc:
+        run_simulation(cfg)
+    rec = exc.value.record
+    assert not rec.completed
+    assert len(rec.times) == 2
+    assert rec.stats.accepted + rec.stats.rejected == spent
+    # a budget of exactly the two-day run's steps suffices
+    two_days = run_simulation(small_config()).stats
+    cfg = small_config(control=StepControl(abs_tol=1e-6, rel_tol=1e-6,
+                                           max_steps=two_days.accepted + two_days.rejected))
+    assert run_simulation(cfg).completed
+
+
 def test_partial_record_rows_agree():
     # a budget failure some segments in: every array holds the filled rows only
     cfg = ModelConfig(t_end=20.0, control=StepControl(abs_tol=1e-6, rel_tol=1e-6, max_steps=300))
@@ -467,6 +479,7 @@ def test_partial_record_rows_agree():
     grid = make_grid(cfg.s0, cfg.s1, cfg.n)
     _, m = init_state(cfg)
     one_minus_m_sq = (1.0 - m) ** 2
-    g = [gaussian_kernels(t, modulus_sq(s), grid, one_minus_m_sq)
-         for t, s in zip(rec.times, rec.sigma)]
+    # the kernels come from the very density rows that volatility_pdf.csv holds
+    g = [gaussian_kernels(t, pdf, grid, one_minus_m_sq)
+         for t, pdf in zip(rec.times, rec.sigma_pdf)]
     assert np.array_equal(rec.g, g)
