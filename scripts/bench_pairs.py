@@ -21,7 +21,10 @@ its own root with the same ``--seed`` in a pair; seeds count up from
 it prints one line per end-to-end metric of BENCHMARK.json, marked WORSE
 when the change's median is worse than the parent's by more than the
 metric's bound, and UNRESOLVED when the parent's own spread is wider than
-the bound and the runs of the two sides overlap.
+the bound and the runs of the two sides overlap. Each line ends in CLAIM MET
+when the change is better in at least 9 of 10 pairs and its median beats the
+parent's by more than the parent's interquartile range, and in CLAIM NOT MET
+otherwise.
 """
 
 from __future__ import annotations
@@ -116,7 +119,10 @@ def end_to_end_lines(key: str, summary: dict, end_to_end: list) -> list:
     ratio, WORSE when the change is worse than the parent by more than the
     metric's bound (a share of the parent's median), and UNRESOLVED when
     the parent's interquartile range is wider than that bound and the
-    change's worst run does not beat the parent's best run."""
+    change's worst run does not beat the parent's best run. Every line ends
+    in the claim verdict: CLAIM MET when the change is better in at least
+    9/10 of the pairs and its median is better than the parent's by more
+    than the parent's interquartile range, CLAIM NOT MET otherwise."""
     lines = []
     for metric in end_to_end:
         entry = summary.get(metric["name"])
@@ -125,18 +131,22 @@ def end_to_end_lines(key: str, summary: dict, end_to_end: list) -> list:
         parent, change = entry["parent"], entry["change"]
         bound = metric["bound"] * abs(parent["median"])
         if metric["better"] == "lower":
-            worse = change["median"] - parent["median"] > bound
+            gain = parent["median"] - change["median"]
             overlap = change["max"] >= parent["min"]
         else:
-            worse = parent["median"] - change["median"] > bound
+            gain = change["median"] - parent["median"]
             overlap = change["min"] <= parent["max"]
-        unresolved = parent["q3"] - parent["q1"] > bound and overlap
+        iqr = parent["q3"] - parent["q1"]
+        unresolved = iqr > bound and overlap
+        claim = 10 * entry["change_better_pairs"] >= 9 * entry["pairs"] and gain > iqr
         ratio = f" ({entry['ratio']:.3f}x)" if "ratio" in entry else ""
         lines.append(f"# {key} {metric['name']} median {parent['median']:.6g} -> "
                      f"{change['median']:.6g}{ratio}"
-                     + (f" WORSE (bound {metric['bound']:g})" if worse else "")
+                     + (f" WORSE (bound {metric['bound']:g})" if -gain > bound else "")
                      + (f" UNRESOLVED (parent IQR over bound {metric['bound']:g})"
-                        if unresolved else ""))
+                        if unresolved else "")
+                     + (" CLAIM MET" if claim else " CLAIM NOT MET")
+                     + f" ({entry['change_better_pairs']}/{entry['pairs']} pairs better)")
     return lines
 
 

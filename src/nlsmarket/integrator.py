@@ -1,7 +1,9 @@
 """Embedded Cash-Karp Runge-Kutta 4/5 integrator with adaptive step size.
 
 The propagated solution is the 5th-order one; the difference to the
-embedded 4th-order solution drives the step controller. States are flat
+embedded 4th-order solution drives the step controller. Every stage
+state, and the pair (y5, err), is one matrix product of the tableau's rows
+scaled by h with the rows [y, k0, ..., k5] of one step. States are flat
 real vectors; complex fields are carried as interleaved (Re, Im) pairs by
 the callers (see ladder.pack_complex).
 """
@@ -37,6 +39,25 @@ WEIGHTS_4TH = np.array(
     [2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4]
 )
 ERROR_WEIGHTS = WEIGHTS_5TH - WEIGHTS_4TH
+
+
+def _tableau_matrix() -> np.ndarray:
+    """The tableau as weights of the rows [y, k0, ..., k5] of one step.
+
+    Row i < 6 is [1, a_i] and gives stage i's state, row 6 is [1, b] and
+    gives y5, and row 7 is [0, b - b_hat] and gives err. Only the k
+    columns scale with h.
+    """
+    matrix = np.zeros((8, 7))
+    matrix[:7, 0] = 1.0
+    for i, a in enumerate(STAGE_COEFFS):
+        matrix[i, 1:1 + a.size] = a
+    matrix[6, 1:] = WEIGHTS_5TH
+    matrix[7, 1:] = ERROR_WEIGHTS
+    return matrix
+
+
+TABLEAU = _tableau_matrix()
 
 # per-decision step-size change limits, to keep the controller from
 # oscillating on stiff right-hand sides
@@ -133,31 +154,36 @@ def cash_karp_step(rhs: Rhs, t: float, y: np.ndarray, h: float):
     an rhs result not shaped like y raises ValueError. Overflow and invalid
     operations inside the rhs are not reported as floating-point warnings.
     """
-    if h <= 0:
-        raise ConfigError(f"step size must be positive, got {h}")
+    if not 0 < h < math.inf:
+        raise ConfigError(f"step size must be positive and finite, got {h}")
     y = np.asarray(y, dtype=float)
-    k = np.empty((6, len(y)))
+    coef = h * TABLEAU
+    coef[:, 0] = TABLEAU[:, 0]
+    rows = np.empty((7, len(y)))  # [y, k0, ..., k5]
+    rows[0] = y
     yi = np.empty(len(y))  # stage state, rebuilt in place per stage
     with np.errstate(over="ignore", invalid="ignore"):
-        k[0] = _evaluate(rhs, t, y)
+        rows[1] = _evaluate(rhs, t, y)
         for i in range(1, 6):
-            # y + h * (STAGE_COEFFS[i] @ k[:i]), bit for bit, without temporaries
-            np.dot(STAGE_COEFFS[i], k[:i], out=yi)
-            yi *= h
-            yi += y
-            k[i] = _evaluate(rhs, t + STAGE_TIMES[i] * h, yi)
-        y5 = y + h * np.dot(WEIGHTS_5TH, k)
-        err = h * np.dot(ERROR_WEIGHTS, k)
+            np.dot(coef[i, :i + 1], rows[:i + 1], out=yi)
+            rows[i + 1] = _evaluate(rhs, t + STAGE_TIMES[i] * h, yi)
+        y5, err = coef[6:] @ rows
     return y5, err
 
 
 def _scaled_error_norm(err: np.ndarray, y: np.ndarray, ctl: StepControl) -> float:
     """max_k |err_k| / (abs_tol + rel_tol |y_k|), or inf if that is not finite.
 
-    Callers suppress the invalid-operation warning of a NaN in ``err``.
+    Callers suppress the invalid-operation warning of a NaN in ``err``. The
+    one buffer holds the scale and then |err_k / scale_k|, which is
+    |err_k| / scale_k bit for bit because the scale is positive.
     """
-    scale = ctl.abs_tol + ctl.rel_tol * np.abs(y)
-    norm = float((np.abs(err) / scale).max())
+    ratio = np.abs(y)
+    ratio *= ctl.rel_tol
+    ratio += ctl.abs_tol
+    np.divide(err, ratio, out=ratio)
+    np.abs(ratio, out=ratio)
+    norm = float(np.maximum.reduce(ratio))
     return norm if math.isfinite(norm) else float("inf")
 
 

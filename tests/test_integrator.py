@@ -23,6 +23,7 @@ from nlsmarket.integrator import (
     LANDING_SLACK,
     STAGE_COEFFS,
     STAGE_TIMES,
+    TABLEAU,
     WEIGHTS_5TH,
     _scaled_error_norm,
 )
@@ -58,8 +59,9 @@ def test_rotation_single_step():
 
 
 def test_step_rejects_bad_inputs():
-    with pytest.raises(ConfigError):
-        cash_karp_step(EXP, 0.0, np.array([1.0]), 0.0)
+    for h in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="positive and finite"):
+            cash_karp_step(EXP, 0.0, np.array([1.0]), h)
     # an rhs whose result is not shaped like the state breaks the Rhs
     # contract; a length-1 or scalar result would broadcast over a stage row
     for result in (np.zeros(3), np.zeros(1), 0.0):
@@ -197,12 +199,16 @@ def test_control_validation():
 
 
 def allocating_cash_karp_step(rhs, t, y, h):
-    """Reference step that allocates every stage state as y + h * (a_i . k)."""
-    k = np.empty((6, len(y)))
-    k[0] = rhs(t, y)
+    """Reference step that allocates every stage state as [1, h a_i] @ [y, k_0..k_i-1]
+    and (y5, err) as one product of the rows [1, h b] and [0, h (b - b_hat)] with [y, k]."""
+    rows = [y, rhs(t, y)]
     for i in range(1, 6):
-        k[i] = rhs(t + STAGE_TIMES[i] * h, y + h * (STAGE_COEFFS[i] @ k[:i]))
-    return y + h * (WEIGHTS_5TH @ k), h * (ERROR_WEIGHTS @ k)
+        stage = np.concatenate(([1.0], h * STAGE_COEFFS[i])) @ np.array(rows)
+        rows.append(rhs(t + STAGE_TIMES[i] * h, stage))
+    weights = np.array([np.concatenate(([1.0], h * WEIGHTS_5TH)),
+                        np.concatenate(([0.0], h * ERROR_WEIGHTS))])
+    y5, err = weights @ np.array(rows)
+    return y5, err
 
 
 def market_system_and_state():
@@ -234,6 +240,28 @@ def test_step_matches_allocating_oracle_bit_for_bit(h):
             ref_y5, ref_err = allocating_cash_karp_step(rhs, 0.25, y, h)
             assert np.array_equal(y5, ref_y5)
             assert np.array_equal(err, ref_err)
+
+
+def test_cash_karp_tableau_order_conditions():
+    c = np.array(STAGE_TIMES)
+    for a, c_i in zip(STAGE_COEFFS, c):
+        assert a.sum() == pytest.approx(c_i, abs=1e-15)
+    # quadrature conditions: b integrates t^(q-1) exactly up to q = 5, b_hat up to q = 4
+    b_hat = WEIGHTS_5TH - ERROR_WEIGHTS
+    for q in range(1, 6):
+        assert WEIGHTS_5TH @ c ** (q - 1) == pytest.approx(1.0 / q, abs=1e-15)
+    for q in range(1, 5):
+        assert b_hat @ c ** (q - 1) == pytest.approx(1.0 / q, abs=1e-15)
+    assert ERROR_WEIGHTS.sum() == pytest.approx(0.0, abs=1e-16)
+    # the matrix over [y, k0..k5] holds the same numbers, bit for bit
+    assert TABLEAU.shape == (8, 7)
+    for i, a in enumerate(STAGE_COEFFS):
+        expected = np.zeros(7)
+        expected[0] = 1.0
+        expected[1:1 + a.size] = a
+        assert np.array_equal(TABLEAU[i], expected)
+    assert np.array_equal(TABLEAU[6], np.concatenate(([1.0], WEIGHTS_5TH)))
+    assert np.array_equal(TABLEAU[7], np.concatenate(([0.0], ERROR_WEIGHTS)))
 
 
 def test_scaled_error_norm_is_the_max_formula():
