@@ -4,10 +4,9 @@ Runs the default market config (n=30, 360 d, stride 1 d, seed 42) at tol
 1e-5, 1e-6, 1e-7 and 1e-8 (abs_tol = rel_tol) and records for each the
 step counters and the largest error of the recorded psi, |sigma|^2, w and
 sigma against the exact solution of the uniform start (tests/oracles.py:
-psi in closed form, w and sigma from scipy's DOP853 at 1e-12 on the
-reduced linear system). When the stored benchmark reference of that run
-exists, it also records ``ref_err``, the benchmark's market-default
-accuracy metric, for comparison.
+psi, w and sigma in closed form). When the stored benchmark reference of
+that run exists, it also records ``ref_err``, the benchmark's
+market-default accuracy metric, for comparison.
 
     python3 scripts/work_precision.py --label change --variant "this tree"
     python3 scripts/work_precision.py --src ../parent/src --label parent \\
@@ -16,7 +15,7 @@ accuracy metric, for comparison.
 Each call measures the nlsmarket package found under ``--src`` (default:
 this checkout's src/) and stores its row under ``--label`` in the output
 JSON (default BENCH_6_wp.json at the repository root), keeping the rows
-of other labels. Needs scipy. A call takes about 30 s on a 2-vCPU Xeon.
+of other labels. Needs scipy.
 """
 
 from __future__ import annotations

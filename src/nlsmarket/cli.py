@@ -119,8 +119,8 @@ def load_config(path: Optional[str]) -> ModelConfig:
     if path is None:
         return ModelConfig()
     try:
-        text = Path(path).read_text()
-    except OSError as err:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config {path}: {err}") from None
     return config_from_values(parse_config_text(text))
 
@@ -147,6 +147,9 @@ class OutputSet:
     directory. Leaving the ``with`` block normally moves every staged file
     into place with os.replace, in the order written; leaving it by an
     exception deletes them, so the directory keeps what it held before.
+    A set of several files first removes the old target of its last file,
+    a run's manifest, so a move that fails part-way leaves no manifest that
+    describes another run's data.
     """
 
     def __init__(self, outdir: Path):
@@ -170,6 +173,8 @@ class OutputSet:
     def __exit__(self, exc_type, exc, tb) -> None:
         try:
             if exc_type is None:
+                if len(self._staged) > 1:
+                    self._staged[-1][1].unlink(missing_ok=True)
                 for tmp, path in self._staged:
                     os.replace(tmp, path)
         finally:

@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import os
 import re
 import subprocess
 import sys
@@ -230,6 +231,50 @@ def test_failed_write_leaves_the_previous_run_intact(tmp_path, monkeypatch, caps
     assert calls == DATA_FILES[:3]
     assert sorted(p.name for p in out.iterdir()) == names
     assert {name: (out / name).read_bytes() for name in names} == before
+
+
+def test_failed_move_leaves_no_stale_manifest(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("t_end = 2\nseed = 5\n")
+    out = tmp_path / "out"
+    assert main(["run-market", "--config", str(cfg), "--out", str(out)]) == 0
+    before = {name: (out / name).read_bytes() for name in DATA_FILES}
+
+    # the next run's first file moves into place and its second move fails
+    original = os.replace
+    moved = []
+
+    def failing_replace(src, dst):
+        if moved:
+            raise OSError(f"cannot replace {Path(dst).name}")
+        original(src, dst)
+        moved.append(Path(dst).name)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    capsys.readouterr()
+    assert main(["run-market", "--config", str(cfg), "--out", str(out), "--seed", "6"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write outputs: ")
+    assert f"cannot replace {DATA_FILES[1]}" in err
+    assert moved == DATA_FILES[:1]
+    # no manifest describes the mix, and the unmoved files are the old run's
+    assert sorted(p.name for p in out.iterdir()) == sorted(DATA_FILES)
+    assert (out / DATA_FILES[0]).read_bytes() != before[DATA_FILES[0]]
+    assert all((out / name).read_bytes() == before[name] for name in DATA_FILES[1:])
+
+
+def test_single_file_set_keeps_its_target_when_the_move_fails(tmp_path, monkeypatch):
+    (tmp_path / "report.csv").write_text("old\n")
+
+    def failing_replace(src, dst):
+        raise OSError("cannot replace")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        with OutputSet(tmp_path) as files:
+            files.write("report.csv", "new\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+    assert (tmp_path / "report.csv").read_text() == "old\n"
 
 
 def test_run_market_zero_horizon(tmp_path):
@@ -515,15 +560,18 @@ def test_non_finite_config_value_is_config_error(key, value, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "config, seeds, message",
-    [("h_max = 1e-4\n", None, "need h_init <= h_max"),  # below the default h_init
-     ("max_steps = 0\n", None, "max_steps must be at least 1"),
-     ("s0 = 10\ns1 = 5\n", None, "price bounds must satisfy s1 > s0"),
-     ("t_end = 1\n", "1,x", "bad --seeds list")],
-    ids=["h_max-below-h_init", "max_steps-zero", "price-bounds", "bad-seeds"],
+    [(b"h_max = 1e-4\n", None, "need h_init <= h_max"),  # below the default h_init
+     (b"max_steps = 0\n", None, "max_steps must be at least 1"),
+     (b"s0 = 10\ns1 = 5\n", None, "price bounds must satisfy s1 > s0"),
+     (b"t_end = 1\n", "1,x", "bad --seeds list"),
+     (b"n = 30 # caf\xe9\n", None, "can't decode byte 0xe9"),  # Latin-1, not UTF-8
+     (b"n = 30 # caf\xe9\n", "1", "can't decode byte 0xe9")],
+    ids=["h_max-below-h_init", "max_steps-zero", "price-bounds", "bad-seeds",
+         "not-utf8", "not-utf8-sweep"],
 )
 def test_config_error_exits_1_with_one_error_line(config, seeds, message, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(config)
+    cfg.write_bytes(config)
     out = tmp_path / "out"
     if seeds is None:
         argv = ["run-market", "--config", str(cfg), "--out", str(out)]
