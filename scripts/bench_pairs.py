@@ -31,8 +31,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import subprocess
 import sys
 import time
@@ -43,27 +41,14 @@ import numpy as np
 SIDES = ("parent", "change")
 
 
-def cpu_model() -> str:
-    try:
-        for line in Path("/proc/cpuinfo").read_text().splitlines():
-            if line.startswith("model name"):
-                return line.partition(":")[2].strip()
-    except OSError:
-        pass
-    return platform.processor() or "unknown"
-
-
-def machine() -> str:
-    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
-    line = (f"{cpu_model()}, {os.cpu_count()} vCPUs, Python {platform.python_version()}, "
-            f"numpy {np.__version__}")
-    if blas.get("name"):
-        line += f", {blas['name']} {blas.get('version', '')}".rstrip()
-    return line
+def machine(env: dict) -> str:
+    """The BENCH ``machine`` line, from the environment note run.py prints."""
+    return (f"{env['cpu']}, {env['nproc']} vCPUs, Python {env['python']}, "
+            f"numpy {env['numpy']}, {env['blas']}")
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int):
-    """One run.py run from ``tree``: (result object, source digest)."""
+    """One run.py run from ``tree``: (result object, its environment note)."""
     argv = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(argv, cwd=tree, capture_output=True, text=True,
@@ -71,25 +56,24 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int):
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines or lines[-1].startswith("#"):
         raise RuntimeError(f"{tree}: run.py exited {done.returncode}\n{done.stderr[-2000:]}")
-    digest = None
-    for line in lines:
-        if line.startswith("# environment: "):
-            digest = json.loads(line[len("# environment: "):])["source_sha256"]
-    return json.loads(lines[-1]), digest
+    env = next(json.loads(line[len("# environment: "):]) for line in lines
+               if line.startswith("# environment: "))
+    return json.loads(lines[-1]), env
 
 
 def run_pair(trees: dict, workload: str, seed: int, seconds: float, trace: int,
-             first: str) -> dict:
+             first: str) -> tuple:
+    """One pair of runs: (the pair's record, the machine line)."""
     pair = {"seed": seed, "first": first}
     order = SIDES if first == "parent" else SIDES[::-1]
     for side in order:
         started = time.time()
-        pair[side], pair[f"{side}_source_sha256"] = run_once(trees[side], workload, seed,
-                                                      seconds, trace)
+        pair[side], env = run_once(trees[side], workload, seed, seconds, trace)
+        pair[f"{side}_source_sha256"] = env["source_sha256"]
         wall = pair[side]["metrics"].get("wall_s", {}).get("value")
         print(f"# {workload} seed {seed} {side}: {time.time() - started:.0f} s"
               + (f", wall_s {wall:.4f}" if wall is not None else ""), flush=True)
-    return pair
+    return pair, machine(env)
 
 
 def summarize(pairs: list, better: dict) -> dict:
@@ -175,7 +159,6 @@ def main(argv=None) -> int:
 
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.is_file() else {}
-    doc["machine"] = machine()
     doc.setdefault("what", (
         f"perfbench/run.py --trace 0 --seconds {args.seconds:g}, parent commit and "
         "change, each run from its own copy of the source tree, alternating which "
@@ -184,15 +167,17 @@ def main(argv=None) -> int:
         "traced holds one --trace 1 run per side"))
 
     if args.trace:
-        pair = run_pair(trees, args.workload, args.seed_base, args.seconds, 1, "parent")
+        pair, doc["machine"] = run_pair(trees, args.workload, args.seed_base, args.seconds,
+                                        1, "parent")
         doc.setdefault("traced", {})[key] = {side: pair[side] for side in SIDES}
     else:
         record = doc.setdefault("workloads", {}).setdefault(key, {"pairs": []})
         start = len(record["pairs"])
         for i in range(args.pairs):
             first = SIDES[(start + i) % 2]
-            record["pairs"].append(run_pair(trees, args.workload, args.seed_base + start + i,
-                                            args.seconds, 0, first))
+            pair, doc["machine"] = run_pair(trees, args.workload, args.seed_base + start + i,
+                                            args.seconds, 0, first)
+            record["pairs"].append(pair)
             record["summary"] = summarize(record["pairs"], better)
             out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
         wall = record["summary"].get("wall_s")

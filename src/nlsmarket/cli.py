@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import functools
 import hashlib
+import itertools
 import math
 import os
 import sys
@@ -25,7 +26,7 @@ import time
 import typing
 import uuid
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,6 +61,9 @@ MARKET_FILES = (
     "psi_phase.csv",
     "weights_kernels.csv",
 )
+
+# CSV tables are built and written this many snapshot rows at a time
+ROW_BLOCK = 64
 
 
 # ----------------------------------------------------------------------
@@ -157,15 +161,19 @@ class OutputSet:
         self.outdir.mkdir(parents=True, exist_ok=True)
         self._staged: List[Tuple[Path, Path]] = []
 
-    def write(self, name: str, text: str) -> str:
-        """Stage ``text`` as outdir/name; returns the sha256 of its bytes."""
-        data = text.encode()
+    def write(self, name: str, pieces: Iterable[str]) -> str:
+        """Stage the joined text ``pieces`` as outdir/name, each piece
+        encoded, hashed and written as it arrives; returns the sha256."""
         path = self.outdir / name
         tmp = path.with_name(f".{name}.{uuid.uuid4().hex}.tmp")
         self._staged.append((tmp, path))
+        digest = hashlib.sha256()
         with open(tmp, "xb") as fh:
-            fh.write(data)
-        return hashlib.sha256(data).hexdigest()
+            for piece in pieces:
+                data = piece.encode()
+                digest.update(data)
+                fh.write(data)
+        return digest.hexdigest()
 
     def __enter__(self) -> "OutputSet":
         return self
@@ -185,16 +193,20 @@ class OutputSet:
 
 def write_table(files: OutputSet, name: str, schema: str, header: Sequence[str], rows,
                 comments=()) -> str:
-    """Stage one CSV table of float rows; returns its sha256.
-
-    Each value is written as "%.17g", the same text as _fmt gives a float.
+    """Stage one CSV table of float rows, streamed ROW_BLOCK rows at a
+    time; returns its sha256. Each value is written as "%.17g", the same
+    text as _fmt gives a float.
     """
-    lines = [f"# schema={schema}"]
-    lines.extend(f"# {c}" for c in comments)
-    lines.append(",".join(header))
-    row_format = ",".join(["%.17g"] * len(header))
-    lines.extend(row_format % tuple(row) for row in rows)
-    return files.write(name, "\n".join(lines) + "\n")
+    head = [f"# schema={schema}", *(f"# {c}" for c in comments), ",".join(header)]
+    row_format = ",".join(["%.17g"] * len(header)) + "\n"
+
+    def pieces():
+        yield "\n".join(head) + "\n"
+        row_iter = iter(rows)
+        while block := list(itertools.islice(row_iter, ROW_BLOCK)):
+            yield "".join([row_format % tuple(row) for row in block])
+
+    return files.write(name, pieces())
 
 
 def write_market_outputs(rec: SimulationRecord, files: OutputSet) -> Dict[str, str]:
@@ -206,21 +218,25 @@ def write_market_outputs(rec: SimulationRecord, files: OutputSet) -> Dict[str, s
     digests = {}
 
     def table(name, schema, header, columns, comments=()):
-        # one float row per snapshot; tolist() hands "%" exact Python floats
-        rows = np.column_stack((t, *columns)).tolist()
+        # one float row per snapshot, built from columns(b), the value
+        # columns of the rows b; tolist() hands "%" exact Python floats
+        blocks = (slice(i, i + ROW_BLOCK) for i in range(0, len(t), ROW_BLOCK))
+        rows = (row for b in blocks for row in np.column_stack((t[b], *columns(b))).tolist())
         digests[name] = write_table(files, name, schema, header, rows, comments)
 
     surface_header = ["t"] + [_fmt(s) for s in grid.nodes]
-    table("volatility_pdf.csv", SURFACE_SCHEMA, surface_header, [rec.sigma_pdf])
-    table("price_pdf.csv", SURFACE_SCHEMA, surface_header, [rec.psi_pdf])
+    psi_pdf = lambda b: np.abs(rec.psi[b]) ** 2
+    table("volatility_pdf.csv", SURFACE_SCHEMA, surface_header,
+          lambda b: [np.abs(rec.sigma[b]) ** 2])
+    table("price_pdf.csv", SURFACE_SCHEMA, surface_header, lambda b: [psi_pdf(b)])
     with np.errstate(divide="ignore"):
-        log_pdf = np.log10(rec.psi_pdf)
-    table("price_pdf_log10.csv", SURFACE_SCHEMA, surface_header, [log_pdf])
+        table("price_pdf_log10.csv", SURFACE_SCHEMA, surface_header,
+              lambda b: [np.log10(psi_pdf(b))])
 
     def traces(lines):
         # header and (re, im) columns of the psi lines, interleaved per line
         header = ["t"] + [f"{part}_{k}" for k in lines for part in ("re", "im")]
-        return header, [np.ascontiguousarray(rec.psi[:, lines]).view(np.float64)]
+        return header, lambda b: [np.ascontiguousarray(rec.psi[b, lines]).view(np.float64)]
 
     table("psi_lines.csv", TRACES_SCHEMA, *traces(range(n)), comments=[node_comment])
     phase_lines = [n // 4, n // 2, (3 * n) // 4]
@@ -228,7 +244,7 @@ def write_market_outputs(rec: SimulationRecord, files: OutputSet) -> Dict[str, s
           comments=[node_comment, "lines=" + ",".join(str(k) for k in phase_lines)])
 
     header = ["t"] + [f"w_{i}" for i in range(n)] + [f"g_{i}" for i in range(n)]
-    table("weights_kernels.csv", TRACES_SCHEMA, header, [rec.w, rec.g])
+    table("weights_kernels.csv", TRACES_SCHEMA, header, lambda b: [rec.w[b], rec.g[b]])
     return digests
 
 
@@ -260,7 +276,7 @@ def write_manifest(
     ]
     lines.append("files:")
     lines += [f"  {name}: sha256={digest}" for name, digest in sorted(digests.items())]
-    files.write("manifest.txt", "\n".join(lines) + "\n")
+    files.write("manifest.txt", ["\n".join(lines) + "\n"])
 
 
 def run_market(config: ModelConfig, outdir: Path) -> int:
@@ -392,7 +408,7 @@ def run_ladder(stage: str, outdir: Path, threshold: Optional[float] = None) -> i
                      for x in row)
         )
     with OutputSet(outdir) as files:
-        files.write(f"ladder_{stage}.csv", "\n".join(lines) + "\n")
+        files.write(f"ladder_{stage}.csv", ["\n".join(lines) + "\n"])
 
     # the metrics at the last tolerance of the ladder decide the exit code
     failed = [(name, value, where) for name, value, where in metrics if not value <= gate]

@@ -13,6 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import nlsmarket.cli as cli
 import nlsmarket.market as market
 from nlsmarket import ModelConfig, run_simulation
 
@@ -20,10 +21,15 @@ ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 
 
-def test_every_traced_name_resolves_to_a_callable(monkeypatch):
+def load_spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_traced_name_resolves_to_a_callable(monkeypatch):
+    spans = load_spans()
     missing = [f"{module}.{attr}" for module, attr, _ in spans.LAYER_SPANS
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert missing == []
@@ -77,3 +83,40 @@ def test_setup_probe_runs(tmp_path):
     proc = subprocess.run([sys.executable, "-c", probe, str(config)], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def manifest_counters(outdir):
+    """The tracer's counter names read from one run directory: the
+    manifest's step statistics, and one segment per snapshot row after
+    the first of volatility_pdf.csv."""
+    lines = (outdir / "manifest.txt").read_text().splitlines()
+    stats = dict(l.strip().split(": ", 1) for l in lines[lines.index("stats:") + 1:]
+                 if l.startswith("  "))
+    rows = [l for l in (outdir / "volatility_pdf.csv").read_text().splitlines()
+            if not l.startswith("#")]
+    return {"accepted": int(stats["accepted"]), "rejected": int(stats["rejected"]),
+            "rhs_evals": int(stats["rhs_evaluations"]), "segments": len(rows) - 2}
+
+
+def test_traced_counters_agree_with_the_manifests(tmp_path):
+    # perfbench reads a traced run's per-layer counts at the driver
+    # boundary and checks them against the manifests; a run that counts
+    # steps, RHS calls or snapshot segments past that boundary breaks it
+    spans = load_spans()
+    config = tmp_path / "small.cfg"
+    config.write_text("n = 8\nt_end = 2\n")
+    tracer, counters = spans.Tracer(), spans.Counters()
+    with spans.Instrumented(tracer, counters):
+        assert cli.main(["run-market", "--config", str(config),
+                         "--out", str(tmp_path / "run")]) == 0
+        run = counters.take()
+        assert cli.main(["sweep", "--config", str(config), "--out", str(tmp_path / "sweep"),
+                         "--seeds", "1,2"]) == 0
+        sweep = counters.take()
+    # residue_steps has no manifest counterpart
+    expected = manifest_counters(tmp_path / "run")
+    assert {key: run[key] for key in expected} == expected
+    seeds = [manifest_counters(tmp_path / "sweep" / f"seed_{s}") for s in (1, 2)]
+    assert {key: sweep[key] for key in expected} == {
+        key: sum(c[key] for c in seeds) for key in expected}
+    assert tracer.by_name()["cli.write"][0] == 3

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,8 @@ from nlsmarket.cli import (
     CONFIG_KEYS,
     MARKET_FILES,
     STAGES,
+    SURFACE_SCHEMA,
+    TRACES_SCHEMA,
     OutputSet,
     _fmt,
     build_parser,
@@ -25,8 +28,12 @@ from nlsmarket.cli import (
     load_config,
     main,
     parse_config_text,
+    write_market_outputs,
     write_table,
 )
+from nlsmarket.grid import make_grid
+from nlsmarket.integrator import StepStats
+from nlsmarket.market import SimulationRecord
 
 DATA_FILES = list(MARKET_FILES)
 
@@ -200,6 +207,80 @@ def test_write_table_matches_per_value_fmt(kind, tmp_path):
     assert data == expected.encode()
     assert digest == hashlib.sha256(data).hexdigest()
     assert "-0,nan,inf,-inf,4.9406564584124654e-324,0.33333333333333331,1e+22" in expected
+
+
+def synthetic_record(n, rows):
+    """A record of ``rows`` random snapshots laid out as run_simulation lays
+    them out (sigma, psi and w are views of one packed store), with a zero
+    in psi on every seventh row, whose log10 is -inf."""
+    rng = np.random.default_rng(rows)
+    store = rng.uniform(-1.0, 1.0, (rows, 5 * n))
+    fields = store[:, : 4 * n].view(np.complex128)
+    fields[::7, n] = 0.0
+    return SimulationRecord(config=ModelConfig(n=n), times=np.arange(rows) * 0.5,
+                            sigma=fields[:, :n], psi=fields[:, n:], w=store[:, 4 * n :],
+                            g=rng.uniform(0.0, 1.0, (rows, n)), stats=StepStats(),
+                            completed=True)
+
+
+def whole_table_texts(rec):
+    """The six market tables formatted whole, one column_stack over the run
+    and one join per table: the oracle for the streamed writer's bytes."""
+    n = rec.config.n
+    grid = make_grid(rec.config.s0, rec.config.s1, n)
+    node_comment = "nodes=" + ",".join(_fmt(s) for s in grid.nodes)
+    texts = {}
+
+    def table(name, schema, header, columns, comments=()):
+        lines = [f"# schema={schema}", *(f"# {c}" for c in comments), ",".join(header)]
+        row_format = ",".join(["%.17g"] * len(header))
+        lines += [row_format % tuple(row)
+                  for row in np.column_stack((rec.times, *columns)).tolist()]
+        texts[name] = "\n".join(lines) + "\n"
+
+    surface_header = ["t"] + [_fmt(s) for s in grid.nodes]
+    table("volatility_pdf.csv", SURFACE_SCHEMA, surface_header, [rec.sigma_pdf])
+    table("price_pdf.csv", SURFACE_SCHEMA, surface_header, [rec.psi_pdf])
+    with np.errstate(divide="ignore"):
+        log_pdf = np.log10(rec.psi_pdf)
+    table("price_pdf_log10.csv", SURFACE_SCHEMA, surface_header, [log_pdf])
+
+    def traces(lines):
+        header = ["t"] + [f"{part}_{k}" for k in lines for part in ("re", "im")]
+        return header, [np.ascontiguousarray(rec.psi[:, lines]).view(np.float64)]
+
+    table("psi_lines.csv", TRACES_SCHEMA, *traces(range(n)), comments=[node_comment])
+    phase_lines = [n // 4, n // 2, (3 * n) // 4]
+    table("psi_phase.csv", TRACES_SCHEMA, *traces(phase_lines),
+          comments=[node_comment, "lines=" + ",".join(str(k) for k in phase_lines)])
+    header = ["t"] + [f"w_{i}" for i in range(n)] + [f"g_{i}" for i in range(n)]
+    table("weights_kernels.csv", TRACES_SCHEMA, header, [rec.w, rec.g])
+    return texts
+
+
+def test_market_writer_memory_does_not_grow_with_the_run(tmp_path):
+    # traced peaks of the writer alone, n = 4: 0.09 MB at both 2,000 and
+    # 20,000 rows when streamed, 2.0 and 20.0 MB when every table was held
+    # whole (as rows, lines, joined text and encoded bytes)
+    peaks = []
+    for rows in (2_000, 20_000):
+        rec = synthetic_record(4, rows)
+        out = tmp_path / str(rows)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with OutputSet(out) as files:
+                digests = write_market_outputs(rec, files)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        expected = whole_table_texts(rec)
+        assert sorted(digests) == sorted(expected) == sorted(MARKET_FILES)
+        for name, text in expected.items():
+            data = (out / name).read_bytes()
+            assert data == text.encode()
+            assert digests[name] == hashlib.sha256(data).hexdigest()
+    assert peaks[1] - peaks[0] < 1_000_000
 
 
 def test_failed_write_leaves_the_previous_run_intact(tmp_path, monkeypatch, capsys):
