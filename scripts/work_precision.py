@@ -15,7 +15,7 @@ market-default accuracy metric, for comparison.
 Each call measures the nlsmarket package found under ``--src`` (default:
 this checkout's src/) and stores its row under ``--label`` in the output
 JSON (default BENCH_6_wp.json at the repository root), keeping the rows
-of other labels. Needs scipy.
+of other labels.
 """
 
 from __future__ import annotations

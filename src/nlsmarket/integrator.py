@@ -125,15 +125,18 @@ class StepStats:
     rejected: int = 0
     min_h_used: float = float("inf")
     max_h_used: float = 0.0
-    rhs_evaluations: int = 0
     next_h: float = 0.0
+
+    @property
+    def rhs_evaluations(self) -> int:
+        """One evaluation per stage of every attempted step."""
+        return len(STAGE_TIMES) * (self.accepted + self.rejected)
 
     def merge(self, other: "StepStats") -> None:
         self.accepted += other.accepted
         self.rejected += other.rejected
         self.min_h_used = min(self.min_h_used, other.min_h_used)
         self.max_h_used = max(self.max_h_used, other.max_h_used)
-        self.rhs_evaluations += other.rhs_evaluations
         self.next_h = other.next_h
 
 
@@ -246,7 +249,6 @@ def integrate_adaptive(
             final = h * (1.0 + LANDING_SLACK) >= remaining
             h_attempt = remaining if final else h
             y5, err = cash_karp_step(rhs, t, y, h_attempt)
-            stats.rhs_evaluations += 6
             errnorm = _scaled_error_norm(err, y, ctl)
             if not np.isfinite(y5).all():
                 errnorm = float("inf")

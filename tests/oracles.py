@@ -8,7 +8,6 @@ instead of the closed form.
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 
 def dense_second_difference(n: int, ds: float) -> np.ndarray:
@@ -70,7 +69,13 @@ def erf_series(x: float) -> float:
 
 
 def call_price_quadrature(spot, strike, rate, sigma, tau) -> float:
-    """Discounted risk-neutral expectation of the call payoff by quadrature."""
+    """Discounted risk-neutral expectation of the call payoff by quadrature.
+
+    The one oracle that needs scipy, so it imports it here: the rest of
+    this module loads without scipy.
+    """
+    from scipy.integrate import quad
+
     drift = (rate - 0.5 * sigma**2) * tau
     vol = sigma * math.sqrt(tau)
     z_low = (math.log(strike / spot) - drift) / vol

@@ -8,6 +8,9 @@ below is its measured value times the stated headroom.
 """
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,6 +99,19 @@ def test_reduction_phase_matches_gauss_legendre():
     phi = -np.cumsum(panels)[np.searchsorted(edges, times) - 1] / 16.0
     # 58x; a component of sigma, up to 1/4 in size, rounds at 5.6e-17
     assert np.max(np.abs(sigma - 0.25 * np.exp(1j * phi))) < 1e-16
+
+
+def test_reduction_loads_without_scipy():
+    # a fresh interpreter in which scipy cannot be imported loads the oracle
+    # module and evaluates the reduction, bit for bit as here
+    code = ("import sys; sys.modules['scipy'] = None; import oracles; "
+            "w, sigma = oracles.uniform_start_reduction(3, 10.0, 20.0, 1.0, 7, [0.5, 2.0]); "
+            "print(repr((w.tolist(), sigma.tolist())))")
+    done = subprocess.run([sys.executable, "-c", code], cwd=Path(__file__).parent,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    w, sigma = uniform_start_reduction(3, 10.0, 20.0, 1.0, 7, [0.5, 2.0])
+    assert done.stdout.strip() == repr((w.tolist(), sigma.tolist()))
 
 
 def test_paper_run_matches_the_exact_solution(paper_20d_errors):

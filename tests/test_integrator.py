@@ -79,6 +79,21 @@ def test_adaptive_exponential():
     assert stats.rhs_evaluations == 6 * (stats.accepted + stats.rejected)
 
 
+def test_rhs_evaluations_count_every_call():
+    # a first step far too large for the tolerance is rejected, and the
+    # rejected attempts' evaluations are counted with the accepted ones'
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return -50.0 * y
+
+    ctl = StepControl(abs_tol=1e-8, rel_tol=1e-8, h_init=0.5, h_max=0.5)
+    _, stats = integrate_adaptive(rhs, 0.0, 1.0, np.array([1.0]), ctl)
+    assert stats.rejected > 0
+    assert stats.rhs_evaluations == len(calls)
+
+
 def test_zero_rhs_is_exact():
     sys0 = lambda t, y: np.zeros(2)
     y0 = np.array([3.0, -1.0])
