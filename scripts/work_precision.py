@@ -21,8 +21,8 @@ of other labels.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
-import platform
 import sys
 from pathlib import Path
 
@@ -34,14 +34,15 @@ REFERENCE = ROOT / "perfbench" / "refs" / "seed42-t360-stride1.npz"
 REFERENCE_EVERY = 12
 
 
-def cpu_model() -> str:
-    try:
-        for line in Path("/proc/cpuinfo").read_text().splitlines():
-            if line.startswith("model name"):
-                return line.partition(":")[2].strip()
-    except OSError:
-        pass
-    return platform.processor() or "unknown"
+def machine_line(seed: int) -> str:
+    """The ``machine`` line as bench_pairs.py writes it into BENCH_*.json,
+    from the environment note of perfbench/run.py (imported, not run)."""
+    from bench_pairs import machine
+
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return machine(run.environment(seed))
 
 
 def measure(tol: float, exact: dict, reference) -> dict:
@@ -105,8 +106,7 @@ def main(argv=None) -> int:
                    "rel_tol; *_err is the largest deviation over all 361 snapshots "
                    "from the exact uniform-start solution; ref_err is the benchmark's "
                    "market-default metric against perfbench/refs")
-    doc["machine"] = (f"{cpu_model()}, {platform.machine()}, Python "
-                      f"{platform.python_version()}, numpy {np.__version__}")
+    doc["machine"] = machine_line(cfg.seed)
     doc.setdefault("rows", {})[args.label] = {"variant": args.variant, "frontier": rows}
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0

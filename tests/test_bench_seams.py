@@ -71,17 +71,37 @@ def test_market_run_calls_the_rhs_and_stencil_through_the_market_module(monkeypa
     assert calls["second_difference"] == calls["coupled_rhs"]
 
 
-def test_setup_probe_runs(tmp_path):
-    tree = ast.parse((PERFBENCH / "run.py").read_text())
-    probe = next(ast.literal_eval(node.value) for node in tree.body
-                 if isinstance(node, ast.Assign)
-                 and any(getattr(t, "id", None) == "SETUP_PROBE" for t in node.targets))
+def run_fresh(script, tmp_path):
+    """Run ``script`` in a fresh interpreter that imports nlsmarket from
+    this checkout, with a small config file as its one argument."""
     config = tmp_path / "small.cfg"
     config.write_text("n = 8\nt_end = 1\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", probe, str(config)], env=env,
+    return subprocess.run([sys.executable, "-c", script, str(config)], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=60)
+
+
+def setup_probe():
+    tree = ast.parse((PERFBENCH / "run.py").read_text())
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "SETUP_PROBE" for t in node.targets))
+
+
+def test_setup_probe_runs(tmp_path):
+    proc = run_fresh(setup_probe(), tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_runs_never_import_numpy_random(tmp_path):
+    # init_state draws from its own PCG64; importing numpy.random raised a
+    # fresh interpreter's peak RSS by 6.3 MB
+    script = ("import sys\nfrom nlsmarket import cli\n"
+              "assert cli.main(['run-market', '--config', sys.argv[1], '--out', 'run']) == 0\n"
+              + setup_probe()
+              + "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n")
+    proc = run_fresh(script, tmp_path)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlsmarket import (
     ConfigError,
@@ -276,6 +278,28 @@ def test_init_state_values_and_seeding():
     other, m_other = init_state(dataclasses.replace(cfg, seed=43))
     assert not np.array_equal(y0, other)
     assert not np.array_equal(m, m_other)
+
+
+def assert_draws_match_default_rng(seed, n):
+    """init_state's w and m are default_rng(seed)'s first two uniform(-1, 1)
+    draws of n, compared as uint64 bit patterns."""
+    y0, m = init_state(ModelConfig(n=n, seed=seed))
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(-1.0, 1.0, n)
+    assert np.array_equal(unpack_state(y0, n)[2].view(np.uint64), w.view(np.uint64))
+    assert np.array_equal(m.view(np.uint64), rng.uniform(-1.0, 1.0, n).view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [3, 30, 257])
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**32 - 1, 2**32, 2**64 + 3, 10**30, 2**200 + 7])
+def test_init_state_draws_are_default_rng_bit_for_bit(seed, n):
+    assert_draws_match_default_rng(seed, n)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(min_value=0, max_value=2**128 - 1))
+def test_init_state_draws_are_default_rng_for_any_seed(seed):
+    assert_draws_match_default_rng(seed, 8)
 
 
 def test_pack_state_roundtrip():
