@@ -15,30 +15,39 @@ line, together with a median/quartile summary per end-to-end metric.
 With ``--trace 0`` the pairs are appended to ``workloads[KEY]`` (KEY
 defaults to the workload name) and its summary is recomputed over all of
 them, so a record can be grown by later calls. With ``--trace 1`` one pair
-is run and stored as ``traced[KEY]``. Each tree runs its own run.py from
-its own root with the same ``--seed`` in a pair; seeds count up from
-``--seed-base``. A pair takes about 2 x (S + 10) seconds. After the pairs
-it prints one line per end-to-end metric of BENCHMARK.json, marked WORSE
-when the change's median is worse than the parent's by more than the
-metric's bound, and UNRESOLVED when the parent's own spread is wider than
-the bound and the runs of the two sides overlap. Each line ends in CLAIM MET
-when the change is better in at least 9 of 10 pairs and its median beats the
-parent's by more than the parent's interquartile range, and in CLAIM NOT MET
-otherwise.
+is run and stored as ``traced[KEY]``. Each tree's src/, perfbench/ and
+BENCHMARK.json are first copied into a temporary directory without
+``__pycache__``, ``*.pyc`` or ``.perfbench_out``, and every run.py runs
+from its clean copy with PYTHONDONTWRITEBYTECODE=1, so neither side starts
+from cached bytecode; the runs of a pair use the same ``--seed``, and
+seeds count up from ``--seed-base``. A pair takes about 2 x (S + 10)
+seconds. After the pairs it prints one line per end-to-end metric of
+BENCHMARK.json, marked WORSE when the change's median is worse than the
+parent's by more than the metric's bound, and UNRESOLVED when the parent's
+own spread is wider than the bound and the runs of the two sides overlap.
+Each line ends in CLAIM MET when the change is better in at least 9 of 10
+pairs and its median beats the parent's by more than the parent's
+interquartile range, and in CLAIM NOT MET otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 
 SIDES = ("parent", "change")
+# what run.py reads of a tree, and what a copy of it leaves out
+COPIED = ("src", "perfbench", "BENCHMARK.json")
+LEFT_OUT = shutil.ignore_patterns("__pycache__", "*.pyc", ".perfbench_out")
 
 
 def machine(env: dict) -> str:
@@ -47,12 +56,25 @@ def machine(env: dict) -> str:
             f"numpy {env['numpy']}, {env['blas']}")
 
 
+def clean_copy(tree: Path, dest: Path) -> Path:
+    """Copy what run.py reads of ``tree`` into ``dest``, without bytecode
+    caches or earlier benchmark output; returns ``dest``."""
+    dest.mkdir(parents=True)
+    for name in COPIED:
+        if (tree / name).is_dir():
+            shutil.copytree(tree / name, dest / name, ignore=LEFT_OUT)
+        else:
+            shutil.copy2(tree / name, dest / name)
+    return dest
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int):
-    """One run.py run from ``tree``: (result object, its environment note)."""
+    """One run.py run from ``tree``, writing no bytecode: (result object, its
+    environment note)."""
     argv = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
-    done = subprocess.run(argv, cwd=tree, capture_output=True, text=True,
-                          timeout=20 * seconds + 600)
+    done = subprocess.run(argv, cwd=tree, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+                          capture_output=True, text=True, timeout=20 * seconds + 600)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines or lines[-1].startswith("#"):
         raise RuntimeError(f"{tree}: run.py exited {done.returncode}\n{done.stderr[-2000:]}")
@@ -149,11 +171,11 @@ def main(argv=None) -> int:
     if args.pairs < 1 or (args.trace and args.pairs != 1):
         parser.error("--pairs must be at least 1, and exactly 1 with --trace 1")
 
-    trees = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
-    for tree in trees.values():
+    given = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
+    for tree in given.values():
         if not (tree / "perfbench" / "run.py").is_file():
             parser.error(f"{tree} holds no perfbench/run.py")
-    spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+    spec = json.loads((given["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     key = args.key or args.workload
 
@@ -165,6 +187,10 @@ def main(argv=None) -> int:
         "side runs first in each pair; one JSON object per run as run.py prints it "
         "on its last line; summary gives median and quartiles over the pairs; "
         "traced holds one --trace 1 run per side"))
+
+    # the copies are removed when the interpreter exits
+    copies = tempfile.TemporaryDirectory(prefix="bench_pairs_")
+    trees = {side: clean_copy(tree, Path(copies.name) / side) for side, tree in given.items()}
 
     if args.trace:
         pair, doc["machine"] = run_pair(trees, args.workload, args.seed_base, args.seconds,

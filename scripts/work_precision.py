@@ -15,7 +15,9 @@ market-default accuracy metric, for comparison.
 Each call measures the nlsmarket package found under ``--src`` (default:
 this checkout's src/) and stores its row under ``--label`` in the output
 JSON (default BENCH_6_wp.json at the repository root), keeping the rows
-of other labels.
+of other labels. Every name is imported from the module that defines it
+(``nlsmarket.market``, ``nlsmarket.integrator``), never from the package
+root, so ``--src`` measures a tree with or without root re-exports.
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ def machine_line(seed: int) -> str:
 
 
 def measure(tol: float, exact: dict, reference) -> dict:
-    from nlsmarket import ModelConfig, StepControl, run_simulation
+    from nlsmarket.integrator import StepControl
+    from nlsmarket.market import ModelConfig, run_simulation
 
     rec = run_simulation(ModelConfig(control=StepControl(abs_tol=tol, rel_tol=tol)))
     assert rec.completed and np.array_equal(rec.times, exact["times"])
@@ -82,8 +85,7 @@ def main(argv=None) -> int:
     # the package under test first, then the oracle, which imports it
     sys.path.insert(0, str(Path(args.src).resolve()))
     sys.path.insert(1, str(ROOT / "tests"))
-    from nlsmarket import ModelConfig
-    from nlsmarket.market import _snapshot_times
+    from nlsmarket.market import ModelConfig, _snapshot_times
     from oracles import uniform_start_psi, uniform_start_reduction
 
     cfg = ModelConfig()

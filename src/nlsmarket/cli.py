@@ -18,7 +18,6 @@ import argparse
 import dataclasses
 import functools
 import hashlib
-import itertools
 import os
 import sys
 import time
@@ -190,19 +189,18 @@ class OutputSet:
                 tmp.unlink(missing_ok=True)
 
 
-def write_table(files: OutputSet, name: str, schema: str, header: Sequence[str], rows,
+def write_table(files: OutputSet, name: str, schema: str, header: Sequence[str], blocks,
                 comments=()) -> str:
-    """Stage one CSV table of float rows, streamed ROW_BLOCK rows at a
-    time; returns its sha256. Each value is written as "%.17g", the same
-    text as _fmt gives a float.
+    """Stage one CSV table of float rows, given as an iterable of row
+    blocks and streamed one block at a time; returns its sha256. Each value
+    is written as "%.17g", the same text as _fmt gives a float.
     """
     head = [f"# schema={schema}", *(f"# {c}" for c in comments), ",".join(header)]
     row_format = ",".join(["%.17g"] * len(header)) + "\n"
 
     def pieces():
         yield "\n".join(head) + "\n"
-        row_iter = iter(rows)
-        while block := list(itertools.islice(row_iter, ROW_BLOCK)):
+        for block in blocks:
             yield "".join([row_format % tuple(row) for row in block])
 
     return files.write(name, pieces())
@@ -217,11 +215,11 @@ def write_market_outputs(rec: SimulationRecord, files: OutputSet) -> Dict[str, s
     digests = {}
 
     def table(name, schema, header, columns, comments=()):
-        # one float row per snapshot, built from columns(b), the value
-        # columns of the rows b; tolist() hands "%" exact Python floats
-        blocks = (slice(i, i + ROW_BLOCK) for i in range(0, len(t), ROW_BLOCK))
-        rows = (row for b in blocks for row in np.column_stack((t[b], *columns(b))).tolist())
-        digests[name] = write_table(files, name, schema, header, rows, comments)
+        # one float row per snapshot, built ROW_BLOCK rows b at a time from
+        # columns(b), their value columns; tolist() hands "%" exact Python floats
+        slices = (slice(i, i + ROW_BLOCK) for i in range(0, len(t), ROW_BLOCK))
+        blocks = (np.column_stack((t[b], *columns(b))).tolist() for b in slices)
+        digests[name] = write_table(files, name, schema, header, blocks, comments)
 
     surface_header = ["t"] + [_fmt(s) for s in grid.nodes]
     psi_pdf = lambda b: np.abs(rec.psi[b]) ** 2

@@ -18,26 +18,21 @@ import time
 
 import numpy as np
 
-from nlsmarket import (
-    ModelConfig,
-    StepControl,
-    VanillaCall,
-    call_price,
+from nlsmarket.cli import MARKET_FILES, main
+from nlsmarket.grid import make_grid, second_difference
+from nlsmarket.integrator import StepControl, integrate_adaptive
+from nlsmarket.ladder import (
     complex_system,
     energy,
     heat_rhs,
-    integrate_adaptive,
     linear_schrodinger_rhs,
-    make_grid,
     mass,
     nls_rhs,
     pack_complex,
-    run_simulation,
-    second_difference,
     unpack_complex,
 )
-from nlsmarket.cli import MARKET_FILES, main
-from nlsmarket.market import gaussian_kernels
+from nlsmarket.market import ModelConfig, gaussian_kernels, run_simulation
+from nlsmarket.reference import VanillaCall, call_price
 
 from oracles import call_price_quadrature, heat_kernel
 

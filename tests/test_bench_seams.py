@@ -15,7 +15,7 @@ from pathlib import Path
 
 import nlsmarket.cli as cli
 import nlsmarket.market as market
-from nlsmarket import ModelConfig, run_simulation
+from nlsmarket.market import ModelConfig, run_simulation
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"

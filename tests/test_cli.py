@@ -13,7 +13,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nlsmarket import ConfigError, ModelConfig, StepControl
 from nlsmarket.cli import (
     CONFIG_KEYS,
     MARKET_FILES,
@@ -31,9 +30,10 @@ from nlsmarket.cli import (
     write_market_outputs,
     write_table,
 )
+from nlsmarket.errors import ConfigError
 from nlsmarket.grid import make_grid
-from nlsmarket.integrator import StepStats
-from nlsmarket.market import SimulationRecord
+from nlsmarket.integrator import StepControl, StepStats
+from nlsmarket.market import ModelConfig, SimulationRecord
 
 DATA_FILES = list(MARKET_FILES)
 
@@ -200,7 +200,7 @@ def test_write_table_matches_per_value_fmt(kind, tmp_path):
     rows = [[kind(x) for x in EDGE_VALUES], [kind(-x) for x in reversed(EDGE_VALUES)]]
     header = [f"c{i}" for i in range(len(EDGE_VALUES))]
     with OutputSet(tmp_path) as files:
-        digest = write_table(files, "t.csv", "demo.v1", header, rows, comments=["note"])
+        digest = write_table(files, "t.csv", "demo.v1", header, [rows], comments=["note"])
     expected = "# schema=demo.v1\n# note\n" + ",".join(header) + "\n"
     expected += "".join(",".join(_fmt(x) for x in row) + "\n" for row in rows)
     data = (tmp_path / "t.csv").read_bytes()

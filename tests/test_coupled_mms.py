@@ -18,16 +18,9 @@ import math
 
 import numpy as np
 
-from nlsmarket import (
-    ModelConfig,
-    StepControl,
-    coupled_rhs,
-    init_state,
-    integrate_adaptive,
-    make_grid,
-)
-from nlsmarket.integrator import cash_karp_step
-from nlsmarket.market import pack_state
+from nlsmarket.grid import make_grid
+from nlsmarket.integrator import StepControl, cash_karp_step, integrate_adaptive
+from nlsmarket.market import ModelConfig, coupled_rhs, init_state, pack_state
 
 from oracles import coupled_rhs_oracle
 

@@ -18,7 +18,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from nlsmarket import ModelConfig, StepControl, run_simulation
+from nlsmarket.integrator import StepControl
+from nlsmarket.market import ModelConfig, run_simulation
 
 from oracles import uniform_start_psi, uniform_start_reduction
 

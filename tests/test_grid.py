@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from nlsmarket import ConfigError, make_grid, second_difference
+from nlsmarket.errors import ConfigError
+from nlsmarket.grid import make_grid, second_difference
 
 from oracles import dense_second_difference, roll_second_difference
 

@@ -5,19 +5,8 @@ import pytest
 
 import nlsmarket.integrator as integrator
 import nlsmarket.market as market
-from nlsmarket import (
-    ConfigError,
-    ModelConfig,
-    StepBudgetError,
-    StepControl,
-    StepStats,
-    StiffnessError,
-    cash_karp_step,
-    coupled_rhs,
-    init_state,
-    integrate_adaptive,
-    make_grid,
-)
+from nlsmarket.errors import ConfigError, StepBudgetError, StiffnessError
+from nlsmarket.grid import make_grid
 from nlsmarket.integrator import (
     ERROR_WEIGHTS,
     LANDING_SLACK,
@@ -25,10 +14,14 @@ from nlsmarket.integrator import (
     STAGE_TIMES,
     TABLEAU,
     WEIGHTS_5TH,
+    StepControl,
+    StepStats,
     _scaled_error_norm,
+    cash_karp_step,
+    integrate_adaptive,
 )
 from nlsmarket.ladder import complex_system, nls_rhs, pack_complex
-from nlsmarket.market import run_simulation
+from nlsmarket.market import ModelConfig, coupled_rhs, init_state, run_simulation
 
 EXP = lambda t, y: y
 ROTATION = lambda t, y: np.array([-y[1], y[0]])

@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from nlsmarket import (
-    StepControl,
+from nlsmarket.grid import make_grid
+from nlsmarket.integrator import StepControl, integrate_adaptive
+from nlsmarket.ladder import (
     complex_system,
     energy,
     heat_potential_rhs,
     heat_rhs,
-    integrate_adaptive,
     linear_schrodinger_rhs,
-    make_grid,
     mass,
     nls_rhs,
     pack_complex,

@@ -5,24 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlsmarket import (
-    ConfigError,
+from nlsmarket.errors import ConfigError, StepBudgetError
+from nlsmarket.grid import make_grid, second_difference
+from nlsmarket.integrator import StepControl, _scaled_error_norm, cash_karp_step
+from nlsmarket.market import (
     ModelConfig,
-    StepBudgetError,
-    StepControl,
-    cash_karp_step,
+    _snapshot_times,
     coupled_rhs,
     gaussian_kernels,
     hebbian_rhs,
     init_state,
-    make_grid,
+    pack_state,
     potential,
     run_simulation,
     target_output,
     target_signal,
+    unpack_state,
 )
-from nlsmarket.integrator import _scaled_error_norm
-from nlsmarket.market import _snapshot_times, pack_state, unpack_state
 
 from oracles import coupled_rhs_oracle, dense_second_difference
 
@@ -253,8 +252,6 @@ def test_wrap_stencil_wiring():
     assert dense[0, 5] == scale and dense[0, 0] == -2.0 * scale and dense[0, 1] == scale
     assert dense[5, 4] == scale and dense[5, 5] == -2.0 * scale and dense[5, 0] == scale
     # the library's undivided operator realizes exactly those rows times ds**2
-    from nlsmarket import second_difference
-
     for k in (0, 5):
         basis = np.zeros(6)
         basis[k] = 1.0

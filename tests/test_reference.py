@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from nlsmarket import ConfigError, VanillaCall, call_price, std_normal_cdf
+from nlsmarket.errors import ConfigError
+from nlsmarket.reference import VanillaCall, call_price, std_normal_cdf
 
 from oracles import call_price_quadrature, erf_series
 
