@@ -22,7 +22,6 @@ import os
 import sys
 import time
 import typing
-import uuid
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -163,7 +162,7 @@ class OutputSet:
         """Stage the joined text ``pieces`` as outdir/name, each piece
         encoded, hashed and written as it arrives; returns the sha256."""
         path = self.outdir / name
-        tmp = path.with_name(f".{name}.{uuid.uuid4().hex}.tmp")
+        tmp = path.with_name(f".{name}.{os.urandom(16).hex()}.tmp")
         self._staged.append((tmp, path))
         digest = hashlib.sha256()
         with open(tmp, "xb") as fh:

@@ -154,8 +154,9 @@ def cash_karp_step(rhs: Rhs, t: float, y: np.ndarray, h: float):
     Returns (y5, err): the 5th-order solution and the component-wise
     difference between the 5th- and 4th-order solutions. A non-finite rhs
     output propagates into ``err`` and signals step failure to the caller;
-    an rhs result not shaped like y raises ValueError. Overflow and invalid
-    operations inside the rhs are not reported as floating-point warnings.
+    an rhs result not shaped like y raises ValueError. A direct call runs
+    under its caller's errstate; integrate_adaptive, its only caller in the
+    package, silences overflow and invalid for the whole integration.
     """
     if not 0 < h < math.inf:
         raise ConfigError(f"step size must be positive and finite, got {h}")
@@ -165,12 +166,11 @@ def cash_karp_step(rhs: Rhs, t: float, y: np.ndarray, h: float):
     rows = np.empty((7, len(y)))  # [y, k0, ..., k5]
     rows[0] = y
     yi = np.empty(len(y))  # stage state, rebuilt in place per stage
-    with np.errstate(over="ignore", invalid="ignore"):
-        rows[1] = _evaluate(rhs, t, y)
-        for i in range(1, 6):
-            np.dot(coef[i, :i + 1], rows[:i + 1], out=yi)
-            rows[i + 1] = _evaluate(rhs, t + STAGE_TIMES[i] * h, yi)
-        y5, err = coef[6:] @ rows
+    rows[1] = _evaluate(rhs, t, y)
+    for i in range(1, 6):
+        np.dot(coef[i, :i + 1], rows[:i + 1], out=yi)
+        rows[i + 1] = _evaluate(rhs, t + STAGE_TIMES[i] * h, yi)
+    y5, err = coef[6:] @ rows
     return y5, err
 
 

@@ -216,7 +216,7 @@ def coupled_rhs(
     the same layout. A non-finite derivative is returned as computed; the
     step built on it has an infinite error norm and is rejected. Overflow
     and invalid-operation warnings are left to the caller's errstate, which
-    cash_karp_step sets to ignore.
+    integrate_adaptive sets to ignore.
     """
     n = grid.n
     z = y[: 4 * n].view(np.complex128).reshape(2, n)

@@ -191,7 +191,12 @@ def test_nonfinite_rhs_values_fail_as_stiffness():
 
 def test_nonfinite_rhs_output_surfaces_in_single_step():
     overflow = lambda t, y: np.array([np.inf])
-    y5, err = cash_karp_step(overflow, 0.0, np.array([1.0]), 0.1)
+    # a bare step follows its caller's errstate, here pytest's warnings as errors
+    with pytest.warns(RuntimeWarning):
+        cash_karp_step(overflow, 0.0, np.array([1.0]), 0.1)
+    # the errstate integrate_adaptive sets around the whole integration
+    with np.errstate(over="ignore", invalid="ignore"):
+        y5, err = cash_karp_step(overflow, 0.0, np.array([1.0]), 0.1)
     assert not np.all(np.isfinite(y5)) or not np.all(np.isfinite(err))
 
 
@@ -404,6 +409,34 @@ def test_snapshot_segments_start_from_the_carried_step(monkeypatch):
     for (_, carried), (h_init, _) in zip(starts, starts[1:]):
         assert h_init == carried
     assert rec.stats.next_h == starts[-1][1]
+
+
+def test_one_errstate_per_integration(monkeypatch):
+    # the floating-point policy is set once per integrate_adaptive call, not
+    # again by every step it attempts
+    class CountingNumpy:
+        errstates = 0
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def errstate(self, **kwargs):
+            self.errstates += 1
+            return np.errstate(**kwargs)
+
+    calls = []
+    original = market.integrate_adaptive
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return original(*args, **kwargs)
+
+    counting_np = CountingNumpy()
+    monkeypatch.setattr(integrator, "np", counting_np)
+    monkeypatch.setattr(market, "integrate_adaptive", counting)
+    rec = run_simulation(ModelConfig(n=8, t_end=2.0))
+    assert rec.stats.accepted + rec.stats.rejected > len(calls) > 0
+    assert counting_np.errstates == len(calls)
 
 
 @pytest.mark.parametrize("seed", range(1, 9))

@@ -425,7 +425,7 @@ def test_finite_derivative_whose_sum_overflows_is_returned():
     grid = make_grid(cfg.s0, cfg.s1, cfg.n)
     one_minus_m_sq = (1.0 - np.full(cfg.n, -1.0)) ** 2  # g_i = exp(-16) keeps V finite
     state = (np.zeros(cfg.n), np.zeros(cfg.n), np.full(cfg.n, -1e308))
-    # the errstate cash_karp_step sets around every rhs call
+    # the errstate integrate_adaptive sets around every rhs call
     with np.errstate(over="ignore", invalid="ignore"):
         d_sigma, d_psi, d_w = rhs_of(np.pi / 120.0, state, grid, one_minus_m_sq, cfg)
     assert np.all(d_w == 1e308)
