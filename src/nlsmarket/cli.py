@@ -120,7 +120,7 @@ def load_config(path: Optional[str]) -> ModelConfig:
     if path is None:
         return ModelConfig()
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config {path}: {err}") from None
     return config_from_values(parse_config_text(text))
@@ -150,17 +150,19 @@ class OutputSet:
     exception deletes them, so the directory keeps what it held before.
     A set of several files first removes the old target of its last file,
     a run's manifest, so a move that fails part-way leaves no manifest that
-    describes another run's data.
+    describes another run's data. ``digests`` maps the name of each file
+    staged so far to the sha256 of its bytes.
     """
 
     def __init__(self, outdir: Path):
         self.outdir = Path(outdir)
         self.outdir.mkdir(parents=True, exist_ok=True)
         self._staged: List[Tuple[Path, Path]] = []
+        self.digests: Dict[str, str] = {}
 
-    def write(self, name: str, pieces: Iterable[str]) -> str:
+    def write(self, name: str, pieces: Iterable[str]) -> None:
         """Stage the joined text ``pieces`` as outdir/name, each piece
-        encoded, hashed and written as it arrives; returns the sha256."""
+        encoded, hashed and written as it arrives."""
         path = self.outdir / name
         tmp = path.with_name(f".{name}.{os.urandom(16).hex()}.tmp")
         self._staged.append((tmp, path))
@@ -170,7 +172,7 @@ class OutputSet:
                 data = piece.encode()
                 digest.update(data)
                 fh.write(data)
-        return digest.hexdigest()
+        self.digests[name] = digest.hexdigest()
 
     def __enter__(self) -> "OutputSet":
         return self
@@ -189,10 +191,10 @@ class OutputSet:
 
 
 def write_table(files: OutputSet, name: str, schema: str, header: Sequence[str], blocks,
-                comments=()) -> str:
+                comments=()) -> None:
     """Stage one CSV table of float rows, given as an iterable of row
-    blocks and streamed one block at a time; returns its sha256. Each value
-    is written as "%.17g", the same text as _fmt gives a float.
+    blocks and streamed one block at a time. Each value is written as
+    "%.17g", the same text as _fmt gives a float.
     """
     head = [f"# schema={schema}", *(f"# {c}" for c in comments), ",".join(header)]
     row_format = ",".join(["%.17g"] * len(header)) + "\n"
@@ -202,23 +204,22 @@ def write_table(files: OutputSet, name: str, schema: str, header: Sequence[str],
         for block in blocks:
             yield "".join([row_format % tuple(row) for row in block])
 
-    return files.write(name, pieces())
+    files.write(name, pieces())
 
 
-def write_market_outputs(rec: SimulationRecord, files: OutputSet) -> Dict[str, str]:
-    """Stage the six data artifacts; returns file name -> sha256."""
+def write_market_outputs(rec: SimulationRecord, files: OutputSet) -> None:
+    """Stage the six data artifacts."""
     n = rec.config.n
     grid = make_grid(rec.config.s0, rec.config.s1, n)
     node_comment = "nodes=" + ",".join(_fmt(s) for s in grid.nodes)
     t = rec.times
-    digests = {}
 
     def table(name, schema, header, columns, comments=()):
         # one float row per snapshot, built ROW_BLOCK rows b at a time from
         # columns(b), their value columns; tolist() hands "%" exact Python floats
         slices = (slice(i, i + ROW_BLOCK) for i in range(0, len(t), ROW_BLOCK))
         blocks = (np.column_stack((t[b], *columns(b))).tolist() for b in slices)
-        digests[name] = write_table(files, name, schema, header, blocks, comments)
+        write_table(files, name, schema, header, blocks, comments)
 
     surface_header = ["t"] + [_fmt(s) for s in grid.nodes]
     psi_pdf = lambda b: np.abs(rec.psi[b]) ** 2
@@ -241,17 +242,12 @@ def write_market_outputs(rec: SimulationRecord, files: OutputSet) -> Dict[str, s
 
     header = ["t"] + [f"w_{i}" for i in range(n)] + [f"g_{i}" for i in range(n)]
     table("weights_kernels.csv", TRACES_SCHEMA, header, lambda b: [rec.w[b], rec.g[b]])
-    return digests
 
 
-def write_manifest(
-    files: OutputSet,
-    config: ModelConfig,
-    status: str,
-    duration: float,
-    stats,
-    digests: Dict[str, str],
-) -> None:
+def write_manifest(files: OutputSet, rec: SimulationRecord, status: str, duration: float) -> None:
+    """Stage the run's manifest: its config and step statistics from rec,
+    and the sha256 of every file staged in files before it."""
+    config, stats = rec.config, rec.stats
     lines = [
         f"schema: {MANIFEST_SCHEMA}",
         f"version: {__version__}",
@@ -271,7 +267,7 @@ def write_manifest(
         f"  rhs_evaluations: {stats.rhs_evaluations}",
     ]
     lines.append("files:")
-    lines += [f"  {name}: sha256={digest}" for name, digest in sorted(digests.items())]
+    lines += [f"  {name}: sha256={digest}" for name, digest in sorted(files.digests.items())]
     files.write("manifest.txt", ["\n".join(lines) + "\n"])
 
 
@@ -290,9 +286,8 @@ def run_market(config: ModelConfig, outdir: Path) -> int:
         print(f"integration failure: {err}", file=sys.stderr)
     # the six data files and then the manifest move into place together
     with OutputSet(outdir) as files:
-        digests = write_market_outputs(rec, files)
-        write_manifest(files, config, status, time.perf_counter() - started, rec.stats,
-                       digests)
+        write_market_outputs(rec, files)
+        write_manifest(files, rec, status, time.perf_counter() - started)
     return code
 
 
@@ -386,18 +381,12 @@ def run_ladder(stage: str, outdir: Path) -> int:
     if stage not in STAGES:
         raise ConfigError(f"unknown ladder stage {stage!r}; choose from {sorted(STAGES)}")
     runner, gate = STAGES[stage]
-    rows = []
+    lines = [f"# schema={LADDER_SCHEMA}", f"# stage={stage}",
+             "tolerance,metric,value,threshold,passed,location"]
     for tol in TOLERANCES:
         metrics = runner(tol)
-        rows += [[tol, name, value, gate, str(value <= gate).lower(), where]
-                 for name, value, where in metrics]
-    header = ["tolerance", "metric", "value", "threshold", "passed", "location"]
-    lines = [f"# schema={LADDER_SCHEMA}", f"# stage={stage}", ",".join(header)]
-    for row in rows:
-        lines.append(
-            ",".join(format(x, ".10g") if isinstance(x, (float, np.floating)) else str(x)
-                     for x in row)
-        )
+        lines += [f"{tol:.10g},{name},{value:.10g},{gate:.10g},"
+                  f"{str(value <= gate).lower()},{where}" for name, value, where in metrics]
     with OutputSet(outdir) as files:
         files.write(f"ladder_{stage}.csv", ["\n".join(lines) + "\n"])
 

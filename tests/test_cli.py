@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import itertools
 import os
 import re
 import subprocess
@@ -27,6 +28,7 @@ from nlsmarket.cli import (
     load_config,
     main,
     parse_config_text,
+    write_manifest,
     write_market_outputs,
     write_table,
 )
@@ -161,6 +163,26 @@ def test_load_config_missing_file():
         load_config("/no/such/file.cfg")
 
 
+def manifest_section(text, name):
+    """The indented lines under ``name:`` in a manifest, without their indent."""
+    lines = text.split(f"\n{name}:\n", 1)[1].splitlines()
+    return [l[2:] for l in itertools.takewhile(lambda l: l.startswith("  "), lines)]
+
+
+def test_config_with_a_byte_order_mark_runs_like_one_without(tmp_path):
+    text = b"t_end = 1\nn = 4\n"
+    (tmp_path / "plain.cfg").write_bytes(text)
+    (tmp_path / "bom.cfg").write_bytes(b"\xef\xbb\xbf" + text)
+    echoes = []
+    for name in ("plain", "bom"):
+        out = tmp_path / name
+        assert main(["run-market", "--config", str(tmp_path / f"{name}.cfg"),
+                     "--out", str(out)]) == 0
+        echoes.append(manifest_section((out / "manifest.txt").read_text(), "config"))
+    assert echoes[0] == echoes[1]
+    assert "t_end: 1.0" in echoes[1] and "n: 4" in echoes[1]
+
+
 def test_run_market_artifacts(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("t_end = 4\nseed = 5\n")
@@ -200,7 +222,8 @@ def test_write_table_matches_per_value_fmt(kind, tmp_path):
     rows = [[kind(x) for x in EDGE_VALUES], [kind(-x) for x in reversed(EDGE_VALUES)]]
     header = [f"c{i}" for i in range(len(EDGE_VALUES))]
     with OutputSet(tmp_path) as files:
-        digest = write_table(files, "t.csv", "demo.v1", header, [rows], comments=["note"])
+        write_table(files, "t.csv", "demo.v1", header, [rows], comments=["note"])
+    digest = files.digests["t.csv"]
     expected = "# schema=demo.v1\n# note\n" + ",".join(header) + "\n"
     expected += "".join(",".join(_fmt(x) for x in row) + "\n" for row in rows)
     data = (tmp_path / "t.csv").read_bytes()
@@ -270,10 +293,11 @@ def test_market_writer_memory_does_not_grow_with_the_run(tmp_path):
         try:
             before = tracemalloc.get_traced_memory()[0]
             with OutputSet(out) as files:
-                digests = write_market_outputs(rec, files)
+                write_market_outputs(rec, files)
             peaks.append(tracemalloc.get_traced_memory()[1] - before)
         finally:
             tracemalloc.stop()
+        digests = files.digests
         expected = whole_table_texts(rec)
         assert sorted(digests) == sorted(expected) == sorted(MARKET_FILES)
         for name, text in expected.items():
@@ -281,6 +305,24 @@ def test_market_writer_memory_does_not_grow_with_the_run(tmp_path):
             assert data == text.encode()
             assert digests[name] == hashlib.sha256(data).hexdigest()
     assert peaks[1] - peaks[0] < 1_000_000
+
+
+def test_manifest_lists_exactly_the_files_staged_before_it(tmp_path):
+    rec = synthetic_record(4, 3)
+    with OutputSet(tmp_path) as files:
+        write_market_outputs(rec, files)
+        files.write("extra.txt", ["not a market table\n"])
+        write_manifest(files, rec, "completed", 0.0)
+    names = sorted(MARKET_FILES + ("extra.txt",))
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names + ["manifest.txt"])
+    manifest = (tmp_path / "manifest.txt").read_text()
+    assert manifest_section(manifest, "files") == [
+        f"{name}: sha256={hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()}"
+        for name in names
+    ]
+    assert manifest_section(manifest, "config") == [
+        f"{key}: {value}" for key, value in config_pairs(rec.config)
+    ]
 
 
 def test_failed_write_leaves_the_previous_run_intact(tmp_path, monkeypatch, capsys):
@@ -713,3 +755,15 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert re.fullmatch(r"\d+\.\d{6}\n", proc.stdout)
+
+
+def test_package_version_is_defined_once():
+    # pyproject takes the version that the manifest and --version print
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    meta = tomllib.loads(pyproject.read_text())
+    assert "version" not in meta["project"]
+    assert meta["project"]["dynamic"] == ["version"]
+    assert meta["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "nlsmarket.__version__"
+    }

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from nlsmarket import cli
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -36,6 +38,10 @@ def test_bench_pairs_copies_source_without_caches_or_output(tmp_path):
     assert copied == ["BENCHMARK.json", "perfbench", "perfbench/run.py", "src",
                       "src/nlsmarket", "src/nlsmarket/cli.py"]
     assert (copy / "src" / "nlsmarket" / "cli.py").read_text() == "X = 1\n"
+
+
+def test_compare_artifacts_runs_every_ladder_stage():
+    assert load_script("compare_artifacts").STAGES == tuple(sorted(cli.STAGES))
 
 
 @pytest.fixture(scope="module")
