@@ -52,7 +52,7 @@ def measure(tol: float, exact: dict, reference) -> dict:
     from nlsmarket.market import ModelConfig, run_simulation
 
     rec = run_simulation(ModelConfig(control=StepControl(abs_tol=tol, rel_tol=tol)))
-    assert rec.completed and np.array_equal(rec.times, exact["times"])
+    assert np.array_equal(rec.times, exact["times"])
     row = {
         "tol": tol,
         "rhs_evaluations": rec.stats.rhs_evaluations,

@@ -266,8 +266,8 @@ class SimulationRecord:
 
     Row j of every array belongs to times[j]. ``sigma``, ``psi`` and ``w``
     are views of one snapshot store whose rows are packed states (see
-    pack_state). ``completed`` is False when the record was cut short by an
-    integration failure.
+    pack_state). A record is complete exactly when times[-1] == config.t_end;
+    one cut short by an integration failure ends before t_end.
     """
 
     config: ModelConfig
@@ -277,7 +277,6 @@ class SimulationRecord:
     w: np.ndarray
     g: np.ndarray
     stats: StepStats
-    completed: bool
 
     @property
     def sigma_pdf(self) -> np.ndarray:
@@ -303,13 +302,14 @@ def run_simulation(config: ModelConfig) -> SimulationRecord:
     """Integrate the coupled model from t = 0 to t_end.
 
     Snapshots are taken at every multiple of snapshot_stride and at t_end
-    by integrating stride segments back to back, one integrate_adaptive
-    call each, so snapshot times are exact. Each segment's end state is
-    written into the next row of one preallocated snapshot store. Each
-    segment after the first starts from the step its predecessor's
-    controller proposed (``StepStats.next_h``); ``control.h_init`` applies
-    to the first segment only. Integration failures re-raise with the
-    partial record attached as ``err.record``.
+    by integrating segment k from times[k-1] to times[k] with one
+    integrate_adaptive call, from row k-1 of one preallocated snapshot
+    store into row k, so snapshot times are exact. Each segment after the
+    first starts from the step its predecessor's controller proposed
+    (``StepStats.next_h``); ``control.h_init`` applies to the first only.
+    The step budget covers the whole run. An integration failure re-raises
+    with the run's stats as ``err.stats`` and the stops landed before it as
+    ``err.record``, whose last time is short of t_end.
     """
     grid = make_grid(config.s0, config.s1, config.n)
     y0, m = init_state(config)
@@ -322,47 +322,40 @@ def run_simulation(config: ModelConfig) -> SimulationRecord:
     times = _snapshot_times(config.t_end, config.snapshot_stride)
     store = np.empty((len(times), 5 * n))
     store[0] = y0
-    filled = 1
     stats = StepStats(next_h=config.control.h_init)
 
-    def record(completed: bool) -> SimulationRecord:
-        rows = store[:filled]
-        fields = rows[:, : 4 * n].view(np.complex128)
+    def record(rows: int) -> SimulationRecord:  # of the first ``rows`` stops
+        fields = store[:rows, : 4 * n].view(np.complex128)
         sigma = fields[:, :n]
         return SimulationRecord(
             config=config,
-            times=np.array(times[:filled]),
+            times=np.array(times[:rows]),
             sigma=sigma,
             psi=fields[:, n:],
-            w=rows[:, 4 * n :],
+            w=store[:rows, 4 * n :],
             g=np.array([gaussian_kernels(t, np.abs(s) ** 2, grid, one_minus_m_sq)
                         for t, s in zip(times, sigma)]),
             stats=stats,
-            completed=completed,
         )
 
     budget = config.control.max_steps
     try:
-        for t_prev, t_next in zip(times[:-1], times[1:]):
-            # the step budget covers the whole run, not one stride segment
+        for k in range(1, len(times)):
             used = stats.accepted + stats.rejected
             if used >= budget:
-                raise StepBudgetError(budget, t_prev, stats)
+                raise StepBudgetError(budget, times[k - 1], stats)
             ctl = dataclasses.replace(config.control, max_steps=budget - used,
                                       h_init=stats.next_h)
-            try:
-                y, seg_stats = integrate_adaptive(rhs, t_prev, t_next, store[filled - 1], ctl)
-            except IntegrationError as err:
-                stats.merge(err.stats)
-                if isinstance(err, StepBudgetError):
-                    raise StepBudgetError(budget, err.t, stats) from None
-                err.stats = stats
-                raise
+            store[k], seg_stats = integrate_adaptive(rhs, times[k - 1], times[k],
+                                                     store[k - 1], ctl)
             stats.merge(seg_stats)
-            store[filled] = y
-            filled += 1
     except IntegrationError as err:
-        err.record = record(completed=False)
-        raise
+        if err.stats is not stats:  # raised inside segment k: make it the run's
+            stats.merge(err.stats)
+            if isinstance(err, StepBudgetError):
+                err = StepBudgetError(budget, err.t, stats)
+            err.stats = stats
+        err.record = record(k)
+        raise err from None
 
-    return record(completed=True)
+    return record(len(times))

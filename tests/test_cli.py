@@ -35,7 +35,7 @@ from nlsmarket.cli import (
 from nlsmarket.errors import ConfigError
 from nlsmarket.grid import make_grid
 from nlsmarket.integrator import StepControl, StepStats
-from nlsmarket.market import ModelConfig, SimulationRecord
+from nlsmarket.market import ModelConfig, SimulationRecord, run_simulation
 
 DATA_FILES = list(MARKET_FILES)
 
@@ -242,8 +242,7 @@ def synthetic_record(n, rows):
     fields[::7, n] = 0.0
     return SimulationRecord(config=ModelConfig(n=n), times=np.arange(rows) * 0.5,
                             sigma=fields[:, :n], psi=fields[:, n:], w=store[:, 4 * n :],
-                            g=rng.uniform(0.0, 1.0, (rows, n)), stats=StepStats(),
-                            completed=True)
+                            g=rng.uniform(0.0, 1.0, (rows, n)), stats=StepStats())
 
 
 def whole_table_texts(rec):
@@ -470,6 +469,24 @@ def test_run_market_non_finite_derivative_fails_at_h_min(tmp_path, capsys):
     for name in DATA_FILES:
         _, data = read_csv_body(out / name)
         assert data.shape[0] == 1
+
+
+def test_run_market_stiffness_failure_mid_run(tmp_path, capsys, stiff_third_segment):
+    # three stops land before the third segment fails at h_min
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 8\nt_end = 5\n")
+    out = tmp_path / "f"
+    assert main(["run-market", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("integration failure: error norm ")
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    assert any(re.fullmatch(r"status: failed: error norm .* \(t=2\.0\)", l) for l in manifest)
+    # the failed attempt counts on top of the two-day run's steps
+    two_days = run_simulation(ModelConfig(n=8, t_end=2.0)).stats
+    assert f"  accepted: {two_days.accepted}" in manifest
+    assert f"  rejected: {two_days.rejected + 1}" in manifest
+    for name in DATA_FILES:
+        _, data = read_csv_body(out / name)
+        assert data.shape[0] == 3
 
 
 @pytest.mark.parametrize("stage", ["heat", "heat-potential", "linear"])
@@ -748,10 +765,14 @@ def test_sweep_runs_on_one_worker_by_default():
 
 
 def test_console_entry_point(tmp_path):
+    # the child imports nlsmarket from this checkout, installed or not
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "nlsmarket.cli", "price-call", "--spot", "100",
          "--strike", "90", "--rate", "0.03", "--sigma", "0.25", "--maturity", "0.5"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert re.fullmatch(r"\d+\.\d{6}\n", proc.stdout)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlsmarket.errors import ConfigError, StepBudgetError
+from nlsmarket.errors import ConfigError, StepBudgetError, StiffnessError
 from nlsmarket.grid import make_grid, second_difference
 from nlsmarket.integrator import StepControl, _scaled_error_norm, cash_karp_step
 from nlsmarket.market import (
@@ -349,7 +349,7 @@ def test_zero_horizon_records_only_the_initial_snapshot():
     assert rec.times[0] == 0.0
     assert np.all(rec.sigma_pdf == 0.0625)
     assert np.all(rec.psi_pdf == 1.0)
-    assert rec.completed
+    assert rec.times[-1] == rec.config.t_end
 
 
 def test_snapshot_times_are_stride_multiples():
@@ -438,7 +438,7 @@ def test_uniform_start_stays_uniform_across_lines():
     # so both densities stay exactly flat in price (see the README model
     # summary); the weights enter those equations only through the scalar V.
     rec = run_simulation(ModelConfig(t_end=2.0))
-    assert rec.completed and len(rec.times) == 3
+    assert rec.times[-1] == rec.config.t_end and len(rec.times) == 3
     for pdf in (rec.sigma_pdf, rec.psi_pdf):
         spread = pdf.max(axis=1) - pdf.min(axis=1)
         assert np.all(spread == 0.0)
@@ -454,7 +454,7 @@ def test_budget_failure_attaches_partial_record():
         run_simulation(cfg)
     rec = exc.value.record
     assert rec is not None
-    assert not rec.completed
+    assert rec.times[-1] < cfg.t_end
     assert len(rec.times) >= 1
     assert rec.stats.accepted + rec.stats.rejected == 25
 
@@ -468,14 +468,28 @@ def test_budget_spent_exactly_at_a_snapshot():
     with pytest.raises(StepBudgetError, match=rf"^step budget of {spent} exhausted at t=1\.0$") as exc:
         run_simulation(cfg)
     rec = exc.value.record
-    assert not rec.completed
+    assert rec.times[-1] < cfg.t_end
     assert len(rec.times) == 2
     assert rec.stats.accepted + rec.stats.rejected == spent
     # a budget of exactly the two-day run's steps suffices
     two_days = run_simulation(small_config()).stats
     cfg = small_config(control=StepControl(abs_tol=1e-6, rel_tol=1e-6,
                                            max_steps=two_days.accepted + two_days.rejected))
-    assert run_simulation(cfg).completed
+    assert run_simulation(cfg).times[-1] == cfg.t_end
+
+
+def test_stiffness_failure_mid_run_carries_the_run_stats(stiff_third_segment):
+    # segments 1 and 2 land; segment 3's first attempt is rejected at h_min
+    cfg = ModelConfig(n=8, t_end=5.0)
+    with pytest.raises(StiffnessError, match=r"^error norm .* not satisfiable at h_min=.* \(t=2\.0\)$") as exc:
+        run_simulation(cfg)
+    err = exc.value
+    assert err.t == 2.0
+    assert np.array_equal(err.record.times, [0.0, 1.0, 2.0])
+    assert err.stats is err.record.stats
+    # the two-day run's steps plus the one failed attempt
+    two_days = run_simulation(ModelConfig(n=8, t_end=2.0)).stats
+    assert (err.stats.accepted, err.stats.rejected) == (two_days.accepted, two_days.rejected + 1)
 
 
 def test_partial_record_rows_agree():
