@@ -39,7 +39,8 @@ RUNS = {
 
 def run_all(tree: Path, work: Path) -> dict:
     """Every command of RUNS from ``tree``; returns run name -> exit code."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    # no bytecode in either tree: a later run from it must not start from a cache
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     codes = {}
     for name, (config, argv) in RUNS.items():
         out = work / name

@@ -39,12 +39,12 @@ class Grid:
 def make_grid(s0: float, s1: float, n: int) -> Grid:
     """Build a uniform grid with spacing ds = (s1 - s0) / (n - 1).
 
-    Raises ConfigError for n < 3 or a non-increasing interval.
+    The grid rules of configs and ladder grids alike: ConfigError unless n >= 3 and s1 > s0.
     """
     if n < 3:
-        raise ConfigError(f"grid needs at least 3 nodes, got n={n}")
+        raise ConfigError(f"need at least 3 lines, got n={n}")
     if not s1 > s0:
-        raise ConfigError(f"grid interval must satisfy s1 > s0, got [{s0}, {s1}]")
+        raise ConfigError(f"price bounds must satisfy s1 > s0, got [{s0}, {s1}]")
     ds = (s1 - s0) / (n - 1)
     nodes = np.linspace(float(s0), float(s1), int(n))
     return Grid(n=int(n), ds=ds, nodes=nodes)

@@ -122,7 +122,7 @@ class ModelConfig:
 
     Times are in days; ``r`` is the per-day risk-free rate and ``c`` the
     Hebbian learning rate. ``control`` holds the integrator tolerances and
-    step bounds.
+    step bounds. ``make_grid`` validates the price grid (n, s0, s1).
     """
 
     r: float = DEFAULT_RATE
@@ -143,16 +143,12 @@ class ModelConfig:
             raise ConfigError(f"interest rate must be non-negative, got {self.r}")
         if self.c < 0:
             raise ConfigError(f"learning rate must be non-negative, got {self.c}")
-        if self.n < 3:
-            raise ConfigError(f"need at least 3 lines, got n={self.n}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.t_end < 0:
             raise ConfigError(f"horizon must be non-negative, got {self.t_end}")
         if self.snapshot_stride <= 0:
             raise ConfigError(f"snapshot stride must be positive, got {self.snapshot_stride}")
-        if not self.s1 > self.s0:
-            raise ConfigError(f"price bounds must satisfy s1 > s0, got [{self.s0}, {self.s1}]")
         # at most t_end / stride interior stops plus t = 0 and t_end; float
         # arithmetic, so a ratio that overflows compares as inf
         snapshots = self.t_end / self.snapshot_stride + 2.0
@@ -161,6 +157,7 @@ class ModelConfig:
                 f"about {snapshots:.3g} snapshots of n={self.n} lines exceed the "
                 f"{MAX_OUTPUT_CELLS} output cell limit; raise snapshot_stride or lower t_end"
             )
+        make_grid(self.s0, self.s1, self.n)  # after the cap: no huge n is allocated
 
 
 def target_signal(t: float) -> float:

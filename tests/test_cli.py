@@ -28,11 +28,12 @@ from nlsmarket.cli import (
     load_config,
     main,
     parse_config_text,
+    run_ladder,
     write_manifest,
     write_market_outputs,
     write_table,
 )
-from nlsmarket.errors import ConfigError
+from nlsmarket.errors import ConfigError, StiffnessError
 from nlsmarket.grid import make_grid
 from nlsmarket.integrator import StepControl, StepStats
 from nlsmarket.market import ModelConfig, SimulationRecord, run_simulation
@@ -521,6 +522,27 @@ def test_ladder_gate_override_forces_failure(tmp_path, capsys, monkeypatch):
 
 def test_unknown_stage_is_usage_error(tmp_path):
     assert main(["run-ladder", "--stage", "warp", "--out", str(tmp_path)]) == 1
+
+
+def test_run_ladder_rejects_an_unknown_stage(tmp_path):
+    # argparse's choices keep an unknown stage from the CLI; a direct call
+    # meets run_ladder's own guard, which names every stage
+    with pytest.raises(ConfigError, match="unknown ladder stage 'warp'") as info:
+        run_ladder("warp", tmp_path / "out")
+    assert all(repr(stage) in str(info.value) for stage in STAGES)
+    assert not (tmp_path / "out").exists()
+
+
+def test_ladder_integration_failure_exits_2_without_a_report(tmp_path, capsys, monkeypatch):
+    def runner(tol):
+        raise StiffnessError("error norm 3.5 not satisfiable at h_min=1e-10 (t=0.25)", t=0.25)
+
+    monkeypatch.setitem(STAGES, "heat", (runner, STAGES["heat"][1]))
+    out = tmp_path / "out"
+    assert main(["run-ladder", "--stage", "heat", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "integration failure: error norm 3.5 not satisfiable at h_min=1e-10 (t=0.25)\n")
+    assert not out.exists()
 
 
 def test_price_call_output(capsys):

@@ -233,6 +233,12 @@ def test_energy_examples():
     assert energy(field, g, 0.7) == float(np.sum(dens) * g.ds)
 
 
+def test_energy_rejects_a_field_off_the_grid():
+    grid = make_grid(0.0, 1.0, 11)
+    with pytest.raises(ValueError, match="does not match grid n=11"):
+        energy(np.zeros(12, dtype=complex), grid, 0.0)
+
+
 def test_energy_nonperiodic_boundary_rule():
     grid = make_grid(0.0, 1.0, 5)  # ds = 0.25
     f = grid.nodes.astype(complex)  # df/dx = 1 at the interior nodes

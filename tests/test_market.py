@@ -319,8 +319,10 @@ def test_config_validation():
         ModelConfig(r=-0.1)
     with pytest.raises(ConfigError):
         ModelConfig(c=-1.0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"need at least 3 lines, got n=2"):
         ModelConfig(n=2)
+    with pytest.raises(ConfigError, match=r"s1 > s0, got \[10\.0, 5\.0\]"):
+        ModelConfig(s0=10.0, s1=5.0)
     with pytest.raises(ConfigError):
         ModelConfig(t_end=-1.0)
     with pytest.raises(ConfigError):
@@ -341,6 +343,16 @@ def test_output_size_is_bounded_before_integrating():
     ModelConfig(n=3, t_end=1e6, snapshot_stride=1.0)
     with pytest.raises(ConfigError):
         ModelConfig(n=30, t_end=1e6, snapshot_stride=1.0)
+
+
+def test_config_checks_its_grid_last():
+    # make_grid runs after the other checks: a huge n meets the cap before it
+    # is allocated, and a config that breaks a grid rule and another rule
+    # reports the other
+    with pytest.raises(ConfigError, match="output cell limit"):
+        ModelConfig(n=10**15, t_end=0.0)
+    with pytest.raises(ConfigError, match="seed must be non-negative"):
+        ModelConfig(n=2, seed=-1)
 
 
 def test_zero_horizon_records_only_the_initial_snapshot():

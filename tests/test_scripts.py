@@ -3,6 +3,7 @@ clean copy of a source tree and compare_artifacts.py's per-file verdicts,
 which carry every byte claim."""
 
 import importlib.util
+import shutil
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,20 @@ def test_bench_pairs_copies_source_without_caches_or_output(tmp_path):
 
 def test_compare_artifacts_runs_every_ladder_stage():
     assert load_script("compare_artifacts").STAGES == tuple(sorted(cli.STAGES))
+
+
+def test_compare_artifacts_writes_no_bytecode_into_the_tree(tmp_path, monkeypatch):
+    compare_artifacts = load_script("compare_artifacts")
+    tree = tmp_path / "tree"
+    shutil.copytree(SCRIPTS.parent / "src", tree / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    monkeypatch.setattr(compare_artifacts, "RUNS",
+                        {"ladder-linear": (None, ["run-ladder", "--stage", "linear"])})
+    (tmp_path / "work").mkdir()
+    assert compare_artifacts.run_all(tree, tmp_path / "work") == {"ladder-linear": 0}
+    assert (tmp_path / "work" / "ladder-linear" / "ladder_linear.csv").is_file()
+    assert not list(tree.rglob("__pycache__"))
 
 
 @pytest.fixture(scope="module")
