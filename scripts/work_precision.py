@@ -3,8 +3,9 @@
 Runs the default market config (n=30, 360 d, stride 1 d, seed 42) at tol
 1e-5, 1e-6, 1e-7 and 1e-8 (abs_tol = rel_tol) and records for each the
 step counters and the largest error of the recorded psi, |sigma|^2, w and
-sigma against the exact solution of the uniform start (tests/oracles.py:
-psi, w and sigma in closed form). When the stored benchmark reference of
+sigma against the exact solution of the uniform start, as
+``oracle_errors`` of tests/oracles.py measures them for the tests (psi, w
+and sigma in closed form). When the stored benchmark reference of
 that run exists, it also records ``ref_err``, the benchmark's
 market-default accuracy metric, for comparison.
 
@@ -47,21 +48,18 @@ def machine_line(seed: int) -> str:
     return machine(run.environment(seed))
 
 
-def measure(tol: float, exact: dict, reference) -> dict:
+def measure(tol: float, reference) -> dict:
     from nlsmarket.integrator import StepControl
     from nlsmarket.market import ModelConfig, run_simulation
+    from oracles import oracle_errors
 
     rec = run_simulation(ModelConfig(control=StepControl(abs_tol=tol, rel_tol=tol)))
-    assert np.array_equal(rec.times, exact["times"])
     row = {
         "tol": tol,
         "rhs_evaluations": rec.stats.rhs_evaluations,
         "accepted": rec.stats.accepted,
         "rejected": rec.stats.rejected,
-        "psi_err": float(np.max(np.abs(rec.psi - exact["psi"][:, None]))),
-        "sigma_sq_err": float(np.max(np.abs(rec.sigma_pdf - 1.0 / 16.0))),
-        "w_err": float(np.max(np.abs(rec.w - exact["w"]))),
-        "sigma_err": float(np.max(np.abs(rec.sigma - exact["sigma"][:, None]))),
+        **{f"{field}_err": float(err) for field, err in oracle_errors(rec).items()},
     }
     if reference is not None:
         rows = slice(None, None, REFERENCE_EVERY)
@@ -85,13 +83,8 @@ def main(argv=None) -> int:
     # the package under test first, then the oracle, which imports it
     sys.path.insert(0, str(Path(args.src).resolve()))
     sys.path.insert(1, str(ROOT / "tests"))
-    from nlsmarket.market import ModelConfig, _snapshot_times
-    from oracles import uniform_start_psi, uniform_start_reduction
+    from nlsmarket.market import ModelConfig
 
-    cfg = ModelConfig()
-    times = np.array(_snapshot_times(cfg.t_end, cfg.snapshot_stride))
-    w, sigma = uniform_start_reduction(cfg.n, cfg.s0, cfg.s1, cfg.c, cfg.seed, times)
-    exact = {"times": times, "psi": uniform_start_psi(times, cfg.r), "w": w, "sigma": sigma}
     reference = None
     if REFERENCE.is_file():
         with np.load(REFERENCE) as stored:
@@ -99,7 +92,7 @@ def main(argv=None) -> int:
 
     rows = []
     for tol in TOLERANCES:
-        rows.append(measure(tol, exact, reference))
+        rows.append(measure(tol, reference))
         print(json.dumps(rows[-1]), flush=True)
 
     out = Path(args.out)
@@ -108,7 +101,7 @@ def main(argv=None) -> int:
                    "rel_tol; *_err is the largest deviation over all 361 snapshots "
                    "from the exact uniform-start solution; ref_err is the benchmark's "
                    "market-default metric against perfbench/refs")
-    doc["machine"] = machine_line(cfg.seed)
+    doc["machine"] = machine_line(ModelConfig().seed)
     doc.setdefault("rows", {})[args.label] = {"variant": args.variant, "frontier": rows}
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0

@@ -39,14 +39,23 @@ class Grid:
 def make_grid(s0: float, s1: float, n: int) -> Grid:
     """Build a uniform grid with spacing ds = (s1 - s0) / (n - 1).
 
-    The grid rules of configs and ladder grids alike: ConfigError unless n >= 3 and s1 > s0.
+    The grid rules of configs and ladder grids alike: ConfigError unless n >= 3, s1 > s0, and
+    the stencil coefficients 0.5 / ds**2 and every s_k**2 * (0.5 / ds**2) are finite.
     """
     if n < 3:
         raise ConfigError(f"need at least 3 lines, got n={n}")
     if not s1 > s0:
         raise ConfigError(f"price bounds must satisfy s1 > s0, got [{s0}, {s1}]")
     ds = (s1 - s0) / (n - 1)
-    nodes = np.linspace(float(s0), float(s1), int(n))
+    with np.errstate(all="ignore"):
+        nodes = np.linspace(float(s0), float(s1), int(n))
+        try:  # formed as heat_rhs and Grid.half_nodes_sq_per_ds2 form them
+            finite = np.isfinite(nodes**2 * (0.5 / ds**2)).all()
+        except (OverflowError, ZeroDivisionError):
+            finite = False
+    if not finite:
+        raise ConfigError(
+            f"price bounds [{s0}, {s1}] at n={n} give a non-finite stencil coefficient")
     return Grid(n=int(n), ds=ds, nodes=nodes)
 
 

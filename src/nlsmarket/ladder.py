@@ -1,9 +1,9 @@
 """Method-of-lines right-hand sides for the verification ladder.
 
-Four semi-discrete systems of increasing difficulty share one grid and one
-integrator: plain diffusion, diffusion with a potential, the linear
-Schrodinger equation, and the cubic nonlinear Schrodinger equation. Mass
-and energy diagnostics live here as well.
+Four semi-discrete systems of increasing difficulty share one integrator,
+each on a grid of its own size: plain diffusion, diffusion with a potential,
+the linear Schrodinger equation, and the cubic nonlinear Schrodinger
+equation. Mass and energy diagnostics live here as well.
 
 All builders return the explicit time derivative dpsi/dt, so the same
 real-vector integrator serves every stage. Complex fields cross the

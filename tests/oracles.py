@@ -156,3 +156,15 @@ def uniform_start_reduction(n, s0, s1, c, seed, times):
     w = np.outer(decay, amp) + (e @ a).real
     integral = (decay * (e @ b) + e @ q - b.sum() - q.sum()).real + p_hat[0].real * t
     return w, 0.25 * np.exp(-1j * integral / 16.0)
+
+
+def oracle_errors(rec):
+    """Largest deviation of each recorded field from the exact solution."""
+    cfg = rec.config
+    w, sigma = uniform_start_reduction(cfg.n, cfg.s0, cfg.s1, cfg.c, cfg.seed, rec.times)
+    return {
+        "psi": np.max(np.abs(rec.psi - uniform_start_psi(rec.times, cfg.r)[:, None])),
+        "sigma_sq": np.max(np.abs(rec.sigma_pdf - 1.0 / 16.0)),
+        "w": np.max(np.abs(rec.w - w)),
+        "sigma": np.max(np.abs(rec.sigma - sigma[:, None])),
+    }

@@ -4,13 +4,15 @@ Each test prints a single pass/fail line (run with ``pytest -s`` to see
 them as they happen). Gates are pinned: oracle agreement thresholds,
 conservation bounds, determinism, and wall-clock ceilings.
 
-Criterion 2 runs at n = 401, the resolution of the shipped heat stage
-(the ``heat`` entry of ``cli.STAGES``, ``cli._stage_gaussian`` at V = 0).
-The three-point stencil is second order: its leading error against the
-continuum kernel at t = 1 is ds**2 / (32 sqrt 2), which crosses the 1e-4
-gate near n = 299, so a coarser grid would test the stencil's order rather
-than the heat stage. The n = 201 floor (2.21e-4)
-stays pinned by ``tests/test_ladder.py::test_heat_solution_vs_analytic_kernel``.
+Criteria 2-4 run the shipped ladder stages of ``cli.STAGES`` (heat, linear
+and nls) at integrator tolerance 1e-8 and hold each metric to a gate written
+here, not read from ``STAGES``, so a loosened stage gate still fails its
+criterion. The heat stage runs at n = 401. The three-point stencil is
+second order: its leading error against the continuum kernel at t = 1 is
+ds**2 / (32 sqrt 2), which crosses the 1e-4 gate near n = 299, so a coarser
+grid would test the stencil's order rather than the heat stage. The
+n = 201 floor (2.21e-4) stays pinned by
+``tests/test_ladder.py::test_heat_solution_vs_analytic_kernel``.
 """
 
 import math
@@ -18,23 +20,14 @@ import time
 
 import numpy as np
 
-from nlsmarket.cli import MARKET_FILES, main
+from nlsmarket.cli import MARKET_FILES, STAGES, main
 from nlsmarket.grid import make_grid, second_difference
 from nlsmarket.integrator import StepControl, integrate_adaptive
-from nlsmarket.ladder import (
-    complex_system,
-    energy,
-    heat_rhs,
-    linear_schrodinger_rhs,
-    mass,
-    nls_rhs,
-    pack_complex,
-    unpack_complex,
-)
+from nlsmarket.ladder import linear_schrodinger_rhs
 from nlsmarket.market import ModelConfig, gaussian_kernels, run_simulation
 from nlsmarket.reference import VanillaCall, call_price
 
-from oracles import call_price_quadrature, heat_kernel
+from oracles import call_price_quadrature
 
 
 def check(num: int, ok: bool, detail: str) -> None:
@@ -57,48 +50,29 @@ def test_01_integrator_order():
     check(1, ok, f"error halving ratios {ratios[0]:.2f}, {ratios[1]:.2f} in [24, 40]; {elapsed:.2f}s < 1s")
 
 
+def stage_metrics(stage: str) -> dict:
+    """The shipped ladder stage's metrics at tolerance 1e-8, by name."""
+    runner = STAGES[stage][0]
+    return {name: value for name, value, _ in runner(1e-8)}
+
+
 def test_02_heat_stage_against_analytic_kernel():
     started = time.perf_counter()
-    grid = make_grid(-10.0, 10.0, 401)
-    u0 = np.exp(-(grid.nodes**2) / 2.0).astype(complex)
-    system = complex_system(lambda f: heat_rhs(f, grid))
-    ctl = StepControl(abs_tol=1e-8, rel_tol=1e-8)
-    y, _ = integrate_adaptive(system, 0.0, 1.0, pack_complex(u0), ctl)
-    err = float(np.max(np.abs(unpack_complex(y).real - heat_kernel(grid.nodes, 1.0))))
+    err = stage_metrics("heat")["max_error"]
     elapsed = time.perf_counter() - started
     ok = err < 1e-4 and elapsed < 5.0
-    floor = grid.ds**2 / (32.0 * math.sqrt(2.0))
-    check(2, ok, f"max-norm error vs analytic kernel {err:.3e} (gate 1e-4; n={grid.n}, ds={grid.ds:g}, "
-                 f"stencil floor ds^2/(32 sqrt 2) = {floor:.3e}); {elapsed:.2f}s < 5s")
+    check(2, ok, f"heat stage max-norm error vs analytic kernel {err:.3e} (gate 1e-4; n=401); "
+                 f"{elapsed:.2f}s < 5s")
 
 
 def test_03_linear_schrodinger_mass_drift():
-    grid = make_grid(-10.0, 10.0, 201)
-    psi0 = np.exp(-(grid.nodes**2) / 2.0).astype(complex)
-    mass0 = mass(psi0, grid)
-    worst = 0.0
-
-    def watch(t, y):
-        nonlocal worst
-        worst = max(worst, abs(mass(unpack_complex(y), grid) - mass0))
-
-    system = complex_system(lambda f: linear_schrodinger_rhs(f, grid, 1.0))
-    ctl = StepControl(abs_tol=1e-8, rel_tol=1e-8)
-    integrate_adaptive(system, 0.0, 1.0, pack_complex(psi0), ctl, observer=watch)
-    check(3, worst < 1e-6, f"mass drift {worst:.3e} < 1e-6 over [0, 1] at tolerance 1e-8")
+    drift = stage_metrics("linear")["mass_drift"]
+    check(3, drift < 1e-6, f"mass drift {drift:.3e} < 1e-6 over [0, 1] at tolerance 1e-8")
 
 
 def test_04_nls_soliton():
-    grid = make_grid(-20.0, 20.0, 801)
-    psi0 = (1.0 / np.cosh(grid.nodes)).astype(complex)
-    v = -1.0
-    h0 = energy(psi0, grid, v)
-    system = complex_system(lambda f: nls_rhs(f, grid, v))
-    ctl = StepControl(abs_tol=1e-8, rel_tol=1e-8)
-    y, _ = integrate_adaptive(system, 0.0, 5.0, pack_complex(psi0), ctl)
-    psi1 = unpack_complex(y)
-    dev = float(np.max(np.abs(np.abs(psi1) - np.abs(psi0))))
-    drift = abs(energy(psi1, grid, v) - h0) / abs(h0)
+    metrics = stage_metrics("nls")
+    dev, drift = metrics["max_modulus_deviation"], metrics["energy_drift_rel"]
     ok = dev < 1e-3 and drift < 1e-3
     check(4, ok, f"|psi| deviation {dev:.3e} < 1e-3 at t=5; energy drift {drift:.3e} < 1e-3")
 

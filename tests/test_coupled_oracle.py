@@ -21,19 +21,7 @@ from scipy.integrate import quad
 from nlsmarket.integrator import StepControl
 from nlsmarket.market import ModelConfig, run_simulation
 
-from oracles import uniform_start_psi, uniform_start_reduction
-
-
-def oracle_errors(rec):
-    """Largest deviation of each recorded field from the exact solution."""
-    cfg = rec.config
-    w, sigma = uniform_start_reduction(cfg.n, cfg.s0, cfg.s1, cfg.c, cfg.seed, rec.times)
-    return {
-        "psi": np.max(np.abs(rec.psi - uniform_start_psi(rec.times, cfg.r)[:, None])),
-        "sigma_sq": np.max(np.abs(rec.sigma_pdf - 1.0 / 16.0)),
-        "w": np.max(np.abs(rec.w - w)),
-        "sigma": np.max(np.abs(rec.sigma - sigma[:, None])),
-    }
+from oracles import oracle_errors, uniform_start_reduction
 
 
 def paper_run(days, tol=1e-6):

@@ -14,6 +14,12 @@ def test_make_grid_rejects_bad_inputs():
         make_grid(1.0, 1.0, 10)
     with pytest.raises(ConfigError):
         make_grid(2.0, 1.0, 10)
+    # 0.5 / ds**2 or s_k**2 * (0.5 / ds**2) not finite
+    for s0, s1 in [(0.0, 1e-300), (0.0, 1e160), (-1e200, 1e200), (0.0, 1e-160),
+                   (-1e308, 1e308)]:
+        with pytest.raises(ConfigError, match=r"n=30 give a non-finite stencil coefficient"):
+            make_grid(s0, s1, 30)
+    assert np.isfinite(make_grid(1e150, 2e150, 30).half_nodes_sq_per_ds2).all()
 
 
 def test_make_grid_thirty_lines():

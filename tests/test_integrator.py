@@ -106,16 +106,6 @@ def test_global_error_decreases_with_tolerance():
     assert errors[0] > errors[1] > errors[2]
 
 
-def test_fixed_step_order_is_fifth():
-    errors = []
-    for h in (0.1, 0.05, 0.025):
-        ctl = StepControl(abs_tol=1e-4, rel_tol=1e-4, h_init=h, h_min=h, h_max=h)
-        y, _ = integrate_adaptive(EXP, 0.0, 1.0, np.array([1.0]), ctl)
-        errors.append(abs(y[0] - np.e))
-    for coarse, fine in zip(errors, errors[1:]):
-        assert 24.0 <= coarse / fine <= 40.0
-
-
 def test_observer_times_increase_and_end_at_t1():
     times = []
     ctl = StepControl(abs_tol=1e-6, rel_tol=1e-6)

@@ -151,19 +151,6 @@ def test_plane_wave_modulus_is_stationary():
     assert np.max(np.abs(psi1 - expected)) < 1e-6
 
 
-def test_linear_schrodinger_conserves_mass():
-    grid = make_grid(-10.0, 10.0, 201)
-    psi0 = np.exp(-(grid.nodes**2) / 2.0).astype(complex)
-    mass0 = mass(psi0, grid)
-    drifts = []
-    evolve(
-        lambda f: linear_schrodinger_rhs(f, grid, 1.0), psi0, 1.0,
-        tol=1e-8,
-        observer=lambda t, y: drifts.append(abs(mass(unpack_complex(y), grid) - mass0)),
-    )
-    assert max(drifts) < 1e-6
-
-
 def test_nls_zero_field():
     grid = make_grid(-3.0, 3.0, 21)
     out = nls_rhs(np.zeros(21, dtype=complex), grid, -1.0)

@@ -1,14 +1,19 @@
 """The measuring scripts under scripts/, loaded by path: bench_pairs.py's
-clean copy of a source tree and compare_artifacts.py's per-file verdicts,
-which carry every byte claim."""
+clean copy of a source tree, compare_artifacts.py's per-file verdicts,
+which carry every byte claim, and work_precision.py's frontier rows."""
 
+import functools
 import importlib.util
 import shutil
 from pathlib import Path
 
 import pytest
 
+import nlsmarket.market
 from nlsmarket import cli
+from nlsmarket.integrator import StepControl
+
+from oracles import oracle_errors
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -57,6 +62,17 @@ def test_compare_artifacts_writes_no_bytecode_into_the_tree(tmp_path, monkeypatc
     assert compare_artifacts.run_all(tree, tmp_path / "work") == {"ladder-linear": 0}
     assert (tmp_path / "work" / "ladder-linear" / "ladder_linear.csv").is_file()
     assert not list(tree.rglob("__pycache__"))
+
+
+def test_work_precision_row_holds_the_oracle_errors_of_its_run(monkeypatch):
+    monkeypatch.setattr(nlsmarket.market, "ModelConfig",
+                        functools.partial(nlsmarket.market.ModelConfig, t_end=2.0))
+    row = load_script("work_precision").measure(1e-6, None)
+    rec = nlsmarket.market.run_simulation(
+        nlsmarket.market.ModelConfig(control=StepControl(abs_tol=1e-6, rel_tol=1e-6)))
+    assert row == {"tol": 1e-6, "rhs_evaluations": rec.stats.rhs_evaluations,
+                   "accepted": rec.stats.accepted, "rejected": rec.stats.rejected,
+                   **{f"{field}_err": err for field, err in oracle_errors(rec).items()}}
 
 
 @pytest.fixture(scope="module")
