@@ -22,12 +22,17 @@ from its clean copy with PYTHONDONTWRITEBYTECODE=1, so neither side starts
 from cached bytecode; the runs of a pair use the same ``--seed``, and
 seeds count up from ``--seed-base``. A pair takes about 2 x (S + 10)
 seconds. After the pairs it prints one line per end-to-end metric of
-BENCHMARK.json, marked WORSE when the change's median is worse than the
-parent's by more than the metric's bound, and UNRESOLVED when the parent's
-own spread is wider than the bound and the runs of the two sides overlap.
-Each line ends in CLAIM MET when the change is better in at least 9 of 10
-pairs and its median beats the parent's by more than the parent's
-interquartile range, and in CLAIM NOT MET otherwise.
+BENCHMARK.json: the parent's and the change's medians and their ratio,
+marked WORSE when the change's median is worse than the parent's by more
+than the metric's bound (a share of the parent's median), UNRESOLVED when
+the parent's interquartile range is wider than that bound and the change's
+worst run does not beat the parent's best, and MORE FAILURES when the
+change failed a larger share of its operations than the parent (failed /
+attempted, summed over the pairs). Each line ends in CLAIM MET when the
+change is better in at least 9 of 10 pairs (a tie counts for neither
+side), its median beats the parent's by more than the parent's
+interquartile range and the line has no MORE FAILURES mark, and in CLAIM
+NOT MET otherwise.
 """
 
 from __future__ import annotations
@@ -99,9 +104,11 @@ def run_pair(trees: dict, workload: str, seed: int, seconds: float, trace: int,
 
 
 def summarize(pairs: list, better: dict) -> dict:
-    """Median, quartiles and range per side and metric, and in how many pairs
-    the change was better (strictly, in the metric's declared direction)."""
-    summary = {"failed": {side: sum(p[side]["failed"] for p in pairs) for side in SIDES}}
+    """Operations failed and attempted per side; median, quartiles and range
+    per side and metric, and in how many pairs the change was better
+    (strictly, in the metric's declared direction)."""
+    summary = {count: {side: sum(p[side][count] for p in pairs) for side in SIDES}
+               for count in ("failed", "attempted")}
     names = sorted(set(pairs[0]["parent"]["metrics"]) & set(pairs[0]["change"]["metrics"]))
     for name in names:
         values = {side: np.array([p[side]["metrics"][name]["value"] for p in pairs])
@@ -121,14 +128,11 @@ def summarize(pairs: list, better: dict) -> dict:
 
 
 def end_to_end_lines(key: str, summary: dict, end_to_end: list) -> list:
-    """One line per end-to-end metric: parent and change medians, their
-    ratio, WORSE when the change is worse than the parent by more than the
-    metric's bound (a share of the parent's median), and UNRESOLVED when
-    the parent's interquartile range is wider than that bound and the
-    change's worst run does not beat the parent's best run. Every line ends
-    in the claim verdict: CLAIM MET when the change is better in at least
-    9/10 of the pairs and its median is better than the parent's by more
-    than the parent's interquartile range, CLAIM NOT MET otherwise."""
+    """One line per end-to-end metric of ``summary``, with the marks and the
+    claim verdict that the module docstring states."""
+    failed, attempted = summary["failed"], summary["attempted"]
+    # change's failed share > parent's, multiplied out: a side may have attempted none
+    more_failures = failed["change"] * attempted["parent"] > failed["parent"] * attempted["change"]
     lines = []
     for metric in end_to_end:
         entry = summary.get(metric["name"])
@@ -144,13 +148,17 @@ def end_to_end_lines(key: str, summary: dict, end_to_end: list) -> list:
             overlap = change["min"] <= parent["max"]
         iqr = parent["q3"] - parent["q1"]
         unresolved = iqr > bound and overlap
-        claim = 10 * entry["change_better_pairs"] >= 9 * entry["pairs"] and gain > iqr
+        claim = (10 * entry["change_better_pairs"] >= 9 * entry["pairs"] and gain > iqr
+                 and not more_failures)
         ratio = f" ({entry['ratio']:.3f}x)" if "ratio" in entry else ""
         lines.append(f"# {key} {metric['name']} median {parent['median']:.6g} -> "
                      f"{change['median']:.6g}{ratio}"
                      + (f" WORSE (bound {metric['bound']:g})" if -gain > bound else "")
                      + (f" UNRESOLVED (parent IQR over bound {metric['bound']:g})"
                         if unresolved else "")
+                     + (f" MORE FAILURES (change {failed['change']}/{attempted['change']}, "
+                        f"parent {failed['parent']}/{attempted['parent']})"
+                        if more_failures else "")
                      + (" CLAIM MET" if claim else " CLAIM NOT MET")
                      + f" ({entry['change_better_pairs']}/{entry['pairs']} pairs better)")
     return lines
@@ -206,11 +214,6 @@ def main(argv=None) -> int:
             record["pairs"].append(pair)
             record["summary"] = summarize(record["pairs"], better)
             out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-        wall = record["summary"].get("wall_s")
-        if wall:
-            print(f"# {key} wall_s median {wall['parent']['median']:.4f} -> "
-                  f"{wall['change']['median']:.4f} ({wall.get('ratio', 0):.3f}x), change "
-                  f"better in {wall['change_better_pairs']}/{wall['pairs']} pairs")
         for line in end_to_end_lines(key, record["summary"], spec["end_to_end"]):
             print(line)
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")

@@ -103,6 +103,15 @@ def uniform_start_psi(times, r: float) -> np.ndarray:
     return np.exp(-1j * (1.0 + r) * np.asarray(times, dtype=float))
 
 
+def contract_draws(n, s0, s1, seed):
+    """w(0), 1 - m and Y of a config, drawn as the manifest's PRNG contract says."""
+    rng = np.random.default_rng(seed)
+    w0 = rng.uniform(-1.0, 1.0, n)
+    one_minus_m = 1.0 - rng.uniform(-1.0, 1.0, n)
+    y_tgt = np.sum(np.linspace(s0, s1, n)) * (s1 - s0) / (n - 1) / 16.0
+    return w0, one_minus_m, y_tgt
+
+
 # samples of the kernels g_i per forcing period; 4096 agree to 1.1e-16
 FORCING_SAMPLES = 1024
 
@@ -129,10 +138,7 @@ def uniform_start_reduction(n, s0, s1, c, seed, times):
     library's init_state. Returns w at ``times``, shape (len(times), n), and
     sigma, shape (len(times),).
     """
-    rng = np.random.default_rng(seed)
-    w0 = rng.uniform(-1.0, 1.0, n)
-    one_minus_m = 1.0 - rng.uniform(-1.0, 1.0, n)
-    y_tgt = np.sum(np.linspace(s0, s1, n)) * (s1 - s0) / (n - 1) / 16.0
+    w0, one_minus_m, y_tgt = contract_draws(n, s0, s1, seed)
 
     size = FORCING_SAMPLES
     freq = 60.0 * np.fft.fftfreq(size, 1.0 / size)  # 60k, the mean first

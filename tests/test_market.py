@@ -369,14 +369,6 @@ def test_snapshot_times_are_stride_multiples():
     assert np.array_equal(rec.times, [0.0, 1.0, 2.0, 2.5])
 
 
-def test_decoupled_weights_decay_exponentially():
-    cfg = small_config(n=10, c=0.0, t_end=5.0)
-    rec = run_simulation(cfg)
-    w0 = rec.w[0]
-    for j, t in enumerate(rec.times):
-        assert np.max(np.abs(rec.w[j] - w0 * np.exp(-t))) < 50.0 * cfg.control.abs_tol
-
-
 def test_record_is_seed_deterministic():
     rec_a = run_simulation(small_config(t_end=3.0))
     rec_b = run_simulation(small_config(t_end=3.0))

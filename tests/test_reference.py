@@ -6,7 +6,7 @@ import pytest
 from nlsmarket.errors import ConfigError
 from nlsmarket.reference import VanillaCall, call_price, std_normal_cdf
 
-from oracles import call_price_quadrature, erf_series
+from oracles import erf_series
 
 
 def test_cdf_symmetry_and_limits():
@@ -38,33 +38,10 @@ def test_vanishing_strike_limit():
     assert abs(call_price(opt) - 87.0) < 1e-9 * 87.0
 
 
-def test_canonical_point_against_quadrature():
-    oracle = call_price_quadrature(100.0, 100.0, 0.05, 0.2, 1.0)
-    assert oracle == pytest.approx(10.4506, abs=5e-5)
-    price = call_price(VanillaCall(spot=100.0, strike=100.0, rate=0.05, sigma=0.2))
-    assert abs(price - oracle) / oracle < 1e-6
-    assert abs(price - 10.4506) < 1e-3
-
-
 def test_deep_in_the_money_asymptote():
     opt = VanillaCall(spot=1000.0, strike=100.0, rate=0.05, sigma=0.2)
     bound = 1000.0 - 100.0 * math.exp(-0.05)
     assert 0.0 <= call_price(opt) - bound < 1e-6
-
-
-def test_quadrature_agreement_on_random_draws():
-    rng = np.random.default_rng(2024)
-    for _ in range(25):
-        spot = 100.0
-        strike = spot * math.exp(rng.uniform(-0.3, 0.3))
-        rate = rng.uniform(0.0, 0.1)
-        sigma = rng.uniform(0.15, 0.5)
-        tau = rng.uniform(0.5, 2.0)
-        price = call_price(
-            VanillaCall(spot=spot, strike=strike, rate=rate, sigma=sigma, maturity=tau)
-        )
-        oracle = call_price_quadrature(spot, strike, rate, sigma, tau)
-        assert abs(price - oracle) / oracle < 1e-6
 
 
 def test_monotone_in_spot_and_strike():
@@ -87,19 +64,3 @@ def test_monotone_in_spot_and_strike():
             for x in strikes
         ]
         assert prices[0] >= prices[1] - 1e-12 >= prices[2] - 2e-12
-
-
-def test_no_arbitrage_bounds():
-    rng = np.random.default_rng(9)
-    for _ in range(500):
-        spot = rng.uniform(20.0, 300.0)
-        strike = rng.uniform(20.0, 300.0)
-        rate = rng.uniform(0.0, 0.15)
-        sigma = rng.uniform(0.05, 0.8)
-        tau = rng.uniform(0.05, 3.0)
-        price = call_price(
-            VanillaCall(spot=spot, strike=strike, rate=rate, sigma=sigma, maturity=tau)
-        )
-        lower = max(0.0, spot - strike * math.exp(-rate * tau))
-        assert price >= lower - 1e-10 * spot
-        assert price <= spot + 1e-10 * spot

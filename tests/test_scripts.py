@@ -1,6 +1,7 @@
 """The measuring scripts under scripts/, loaded by path: bench_pairs.py's
-clean copy of a source tree, compare_artifacts.py's per-file verdicts,
-which carry every byte claim, and work_precision.py's frontier rows."""
+clean copy of a source tree and its verdicts, which carry every perf claim,
+compare_artifacts.py's per-file verdicts, which carry every byte claim, and
+work_precision.py's frontier rows."""
 
 import functools
 import importlib.util
@@ -110,3 +111,46 @@ def test_compare_file_verdicts(compare_file, tmp_path, name, parent_text, change
                                verdict, same):
     parent, change = write_pair(tmp_path, name, parent_text, change_text)
     assert compare_file(parent, change) == (verdict, same)
+
+
+def synthetic_pairs(parent, change, failed=(0, 0)):
+    """Pairs of runs that each attempted 10 operations and read one metric
+    ``m``; the first pair carries the (parent, change) failures."""
+    return [{side: {"attempted": 10, "failed": failed[k] if i == 0 else 0,
+                    "metrics": {"m": {"value": value}}}
+             for k, (side, value) in enumerate((("parent", p), ("change", c)))}
+            for i, (p, c) in enumerate(zip(parent, change))]
+
+
+STEADY = [1.00, 1.01, 1.02, 1.00, 1.01, 1.02, 1.00, 1.01, 1.02, 1.01]  # IQR 0.02
+SPREAD = [1.0, 1.2] * 5  # IQR 0.2, under the bound 0.25 x median 1.1
+WIDE = [1.0, 1.6] * 5  # IQR 0.6, over the bound 0.25 x median 1.3
+
+
+@pytest.mark.parametrize("parent, change, better, failed, markers, better_pairs", [
+    (STEADY, [0.8] * 9 + [1.05], "lower", (0, 0), ["CLAIM MET"], 9),
+    (STEADY, [0.8] * 8 + [1.05] * 2, "lower", (0, 0), ["CLAIM NOT MET"], 8),
+    (SPREAD, [v - 0.05 for v in SPREAD], "lower", (0, 0), ["CLAIM NOT MET"], 10),
+    (STEADY, [0.8] * 9 + STEADY[9:], "lower", (0, 0), ["CLAIM MET"], 9),
+    (STEADY, [0.8] * 8 + STEADY[8:], "lower", (0, 0), ["CLAIM NOT MET"], 8),
+    (STEADY, STEADY, "lower", (0, 0), ["CLAIM NOT MET"], 0),
+    (STEADY, [1.3 * v for v in STEADY], "lower", (0, 0), ["WORSE", "CLAIM NOT MET"], 0),
+    (WIDE, [v - 0.1 for v in WIDE], "lower", (0, 0), ["UNRESOLVED", "CLAIM NOT MET"], 10),
+    (WIDE, [0.5] * 10, "lower", (0, 0), ["CLAIM MET"], 10),
+    (STEADY, [1.3] * 10, "higher", (0, 0), ["CLAIM MET"], 10),
+    (STEADY, [0.7] * 10, "higher", (0, 0), ["WORSE", "CLAIM NOT MET"], 0),
+    (STEADY, [0.8] * 10, "lower", (0, 1), ["MORE FAILURES", "CLAIM NOT MET"], 10),
+    (STEADY, [0.8] * 10, "lower", (1, 1), ["CLAIM MET"], 10),
+], ids=["9-of-10-met", "8-of-10", "gain-within-iqr", "one-tie", "two-ties", "all-tied",
+        "worse", "unresolved", "disjoint-not-unresolved", "higher-met", "higher-worse",
+        "more-failures", "same-failures"])
+def test_bench_pairs_verdicts(parent, change, better, failed, markers, better_pairs):
+    bench_pairs = load_script("bench_pairs")
+    summary = bench_pairs.summarize(synthetic_pairs(parent, change, failed), {"m": better})
+    (line,) = bench_pairs.end_to_end_lines(
+        "w", summary, [{"name": "m", "better": better, "bound": 0.25}])
+    verdicts = ("WORSE", "UNRESOLVED", "MORE FAILURES", "CLAIM MET", "CLAIM NOT MET")
+    assert [m for m in verdicts if f" {m}" in line] == markers
+    assert line.endswith(f" ({better_pairs}/10 pairs better)")
+    if "MORE FAILURES" in markers:
+        assert f"MORE FAILURES (change {failed[1]}/100, parent {failed[0]}/100)" in line
