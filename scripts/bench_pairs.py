@@ -6,9 +6,9 @@ pair, and stores every run's JSON object, as run.py prints it on its last
 line, together with a median/quartile summary per end-to-end metric.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
-        --workload ladder --pairs 5 --seconds 30 --out BENCH_7.json
+        --workload ladder --pairs 10 --seconds 30 --out BENCH_7.json
     python3 scripts/bench_pairs.py --parent ../parent --change ../parent-copy \\
-        --workload ladder --pairs 5 --seconds 30 --out BENCH_7.json --key ladder-control
+        --workload ladder --pairs 10 --seconds 30 --out BENCH_7.json --key ladder-control
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --workload ladder --pairs 1 --trace 1 --out BENCH_7.json
 
@@ -28,11 +28,12 @@ than the metric's bound (a share of the parent's median), UNRESOLVED when
 the parent's interquartile range is wider than that bound and the change's
 worst run does not beat the parent's best, and MORE FAILURES when the
 change failed a larger share of its operations than the parent (failed /
-attempted, summed over the pairs). Each line ends in CLAIM MET when the
-change is better in at least 9 of 10 pairs (a tie counts for neither
-side), its median beats the parent's by more than the parent's
-interquartile range and the line has no MORE FAILURES mark, and in CLAIM
-NOT MET otherwise.
+attempted, summed over the pairs). Each line ends in CLAIM MET when there
+are at least 10 pairs, the change is better in at least nine tenths of
+them (a tie counts for neither side), its median beats the parent's by
+more than the parent's interquartile range and the line has no MORE
+FAILURES mark, and in CLAIM NOT MET otherwise; a line over fewer than 10
+pairs is also marked FEWER THAN 10 PAIRS.
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ SIDES = ("parent", "change")
 # what run.py reads of a tree, and what a copy of it leaves out
 COPIED = ("src", "perfbench", "BENCHMARK.json")
 LEFT_OUT = shutil.ignore_patterns("__pycache__", "*.pyc", ".perfbench_out")
+# the fewest pairs from which "better in 9 of 10 pairs" can be judged
+MIN_PAIRS = 10
 
 
 def machine(env: dict) -> str:
@@ -148,8 +151,9 @@ def end_to_end_lines(key: str, summary: dict, end_to_end: list) -> list:
             overlap = change["min"] <= parent["max"]
         iqr = parent["q3"] - parent["q1"]
         unresolved = iqr > bound and overlap
-        claim = (10 * entry["change_better_pairs"] >= 9 * entry["pairs"] and gain > iqr
-                 and not more_failures)
+        few = entry["pairs"] < MIN_PAIRS
+        claim = (not few and 10 * entry["change_better_pairs"] >= 9 * entry["pairs"]
+                 and gain > iqr and not more_failures)
         ratio = f" ({entry['ratio']:.3f}x)" if "ratio" in entry else ""
         lines.append(f"# {key} {metric['name']} median {parent['median']:.6g} -> "
                      f"{change['median']:.6g}{ratio}"
@@ -159,6 +163,7 @@ def end_to_end_lines(key: str, summary: dict, end_to_end: list) -> list:
                      + (f" MORE FAILURES (change {failed['change']}/{attempted['change']}, "
                         f"parent {failed['parent']}/{attempted['parent']})"
                         if more_failures else "")
+                     + (f" FEWER THAN {MIN_PAIRS} PAIRS" if few else "")
                      + (" CLAIM MET" if claim else " CLAIM NOT MET")
                      + f" ({entry['change_better_pairs']}/{entry['pairs']} pairs better)")
     return lines
@@ -169,7 +174,7 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="root of the parent source tree")
     parser.add_argument("--change", required=True, help="root of the changed source tree")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--pairs", type=int, default=MIN_PAIRS)
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--seed-base", type=int, default=1)

@@ -5,9 +5,7 @@ Runs the default market config (n=30, 360 d, stride 1 d, seed 42) at tol
 step counters and the largest error of the recorded psi, |sigma|^2, w and
 sigma against the exact solution of the uniform start, as
 ``oracle_errors`` of tests/oracles.py measures them for the tests (psi, w
-and sigma in closed form). When the stored benchmark reference of
-that run exists, it also records ``ref_err``, the benchmark's
-market-default accuracy metric, for comparison.
+and sigma in closed form).
 
     python3 scripts/work_precision.py --label change --variant "this tree"
     python3 scripts/work_precision.py --src ../parent/src --label parent \\
@@ -29,12 +27,8 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 ROOT = Path(__file__).resolve().parent.parent
 TOLERANCES = (1e-5, 1e-6, 1e-7, 1e-8)
-REFERENCE = ROOT / "perfbench" / "refs" / "seed42-t360-stride1.npz"
-REFERENCE_EVERY = 12
 
 
 def machine_line(seed: int) -> str:
@@ -48,27 +42,19 @@ def machine_line(seed: int) -> str:
     return machine(run.environment(seed))
 
 
-def measure(tol: float, reference) -> dict:
+def measure(tol: float) -> dict:
     from nlsmarket.integrator import StepControl
     from nlsmarket.market import ModelConfig, run_simulation
     from oracles import oracle_errors
 
     rec = run_simulation(ModelConfig(control=StepControl(abs_tol=tol, rel_tol=tol)))
-    row = {
+    return {
         "tol": tol,
         "rhs_evaluations": rec.stats.rhs_evaluations,
         "accepted": rec.stats.accepted,
         "rejected": rec.stats.rejected,
         **{f"{field}_err": float(err) for field, err in oracle_errors(rec).items()},
     }
-    if reference is not None:
-        rows = slice(None, None, REFERENCE_EVERY)
-        row["ref_err"] = max(
-            float(np.max(np.abs(rec.sigma_pdf[rows] - reference["sigma_pdf"]))),
-            float(np.max(np.abs(rec.psi[rows] - reference["psi"]))),
-            float(np.max(np.abs(rec.w[rows] - reference["w"]))),
-        )
-    return row
 
 
 def main(argv=None) -> int:
@@ -85,22 +71,18 @@ def main(argv=None) -> int:
     sys.path.insert(1, str(ROOT / "tests"))
     from nlsmarket.market import ModelConfig
 
-    reference = None
-    if REFERENCE.is_file():
-        with np.load(REFERENCE) as stored:
-            reference = {key: stored[key] for key in ("sigma_pdf", "psi", "w")}
-
     rows = []
     for tol in TOLERANCES:
-        rows.append(measure(tol, reference))
+        rows.append(measure(tol))
         print(json.dumps(rows[-1]), flush=True)
 
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.is_file() else {}
     doc["what"] = ("paper run (n=30, 360 d, stride 1 d, seed 42) per tol = abs_tol = "
                    "rel_tol; *_err is the largest deviation over all 361 snapshots "
-                   "from the exact uniform-start solution; ref_err is the benchmark's "
-                   "market-default metric against perfbench/refs")
+                   "from the exact uniform-start solution; ref_err, the benchmark's "
+                   "market-default metric against perfbench/refs, appears only in rows "
+                   "written before the script stopped recording it")
     doc["machine"] = machine_line(ModelConfig().seed)
     doc.setdefault("rows", {})[args.label] = {"variant": args.variant, "frontier": rows}
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")

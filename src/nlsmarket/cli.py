@@ -425,7 +425,7 @@ def _cmd_price_call(args) -> int:
         strike=args.strike,
         rate=args.rate,
         sigma=args.sigma,
-        t=args.valuation_time,
+        valuation_time=args.valuation_time,
         maturity=args.maturity,
     )
     print(f"{call_price(opt):.6f}")

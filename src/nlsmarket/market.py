@@ -279,10 +279,6 @@ class SimulationRecord:
     def sigma_pdf(self) -> np.ndarray:
         return np.abs(self.sigma) ** 2
 
-    @property
-    def psi_pdf(self) -> np.ndarray:
-        return np.abs(self.psi) ** 2
-
 
 def _snapshot_times(t_end: float, stride: float) -> List[float]:
     times = [0.0]

@@ -18,14 +18,14 @@ class VanillaCall:
 
     spot and strike are prices, rate is continuously compounded per year,
     sigma is the yearly volatility, and the option matures at ``maturity``
-    with valuation at time ``t`` (both in years).
+    with valuation at time ``valuation_time`` (both in years).
     """
 
     spot: float
     strike: float
     rate: float
     sigma: float
-    t: float = 0.0
+    valuation_time: float = 0.0
     maturity: float = 1.0
 
     def __post_init__(self):
@@ -36,10 +36,9 @@ class VanillaCall:
             raise ConfigError(f"strike must be positive, got {self.strike}")
         if self.sigma <= 0:
             raise ConfigError(f"sigma must be positive, got {self.sigma}")
-        if not self.maturity > self.t:
-            raise ConfigError(
-                f"maturity {self.maturity} must exceed valuation time {self.t}"
-            )
+        if not self.maturity > self.valuation_time:
+            raise ConfigError(f"maturity {self.maturity} must exceed valuation time "
+                              f"{self.valuation_time}")
 
 
 def std_normal_cdf(d: float) -> float:
@@ -58,7 +57,7 @@ def call_price(opt: VanillaCall) -> float:
     Raises ConfigError where finite inputs leave the float range on the way
     (an overflow, the log of an underflowed spot/strike, an infinite tau).
     """
-    tau = opt.maturity - opt.t
+    tau = opt.maturity - opt.valuation_time
     try:
         sig_sqrt = opt.sigma * math.sqrt(tau)
         log_m = math.log(opt.spot / opt.strike)

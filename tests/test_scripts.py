@@ -68,7 +68,7 @@ def test_compare_artifacts_writes_no_bytecode_into_the_tree(tmp_path, monkeypatc
 def test_work_precision_row_holds_the_oracle_errors_of_its_run(monkeypatch):
     monkeypatch.setattr(nlsmarket.market, "ModelConfig",
                         functools.partial(nlsmarket.market.ModelConfig, t_end=2.0))
-    row = load_script("work_precision").measure(1e-6, None)
+    row = load_script("work_precision").measure(1e-6)
     rec = nlsmarket.market.run_simulation(
         nlsmarket.market.ModelConfig(control=StepControl(abs_tol=1e-6, rel_tol=1e-6)))
     assert row == {"tol": 1e-6, "rhs_evaluations": rec.stats.rhs_evaluations,
@@ -141,16 +141,18 @@ WIDE = [1.0, 1.6] * 5  # IQR 0.6, over the bound 0.25 x median 1.3
     (STEADY, [0.7] * 10, "higher", (0, 0), ["WORSE", "CLAIM NOT MET"], 0),
     (STEADY, [0.8] * 10, "lower", (0, 1), ["MORE FAILURES", "CLAIM NOT MET"], 10),
     (STEADY, [0.8] * 10, "lower", (1, 1), ["CLAIM MET"], 10),
+    (STEADY[:3], [0.8] * 3, "lower", (0, 0), ["FEWER THAN 10 PAIRS", "CLAIM NOT MET"], 3),
 ], ids=["9-of-10-met", "8-of-10", "gain-within-iqr", "one-tie", "two-ties", "all-tied",
         "worse", "unresolved", "disjoint-not-unresolved", "higher-met", "higher-worse",
-        "more-failures", "same-failures"])
+        "more-failures", "same-failures", "three-pairs"])
 def test_bench_pairs_verdicts(parent, change, better, failed, markers, better_pairs):
     bench_pairs = load_script("bench_pairs")
     summary = bench_pairs.summarize(synthetic_pairs(parent, change, failed), {"m": better})
     (line,) = bench_pairs.end_to_end_lines(
         "w", summary, [{"name": "m", "better": better, "bound": 0.25}])
-    verdicts = ("WORSE", "UNRESOLVED", "MORE FAILURES", "CLAIM MET", "CLAIM NOT MET")
+    verdicts = ("WORSE", "UNRESOLVED", "MORE FAILURES", "FEWER THAN 10 PAIRS", "CLAIM MET",
+                "CLAIM NOT MET")
     assert [m for m in verdicts if f" {m}" in line] == markers
-    assert line.endswith(f" ({better_pairs}/10 pairs better)")
+    assert line.endswith(f" ({better_pairs}/{len(parent)} pairs better)")
     if "MORE FAILURES" in markers:
         assert f"MORE FAILURES (change {failed[1]}/100, parent {failed[0]}/100)" in line
