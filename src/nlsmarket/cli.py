@@ -19,9 +19,11 @@ import dataclasses
 import functools
 import hashlib
 import os
+import re
 import sys
 import time
 import typing
+from collections import Counter
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -403,6 +405,14 @@ def run_ladder(stage: str, outdir: Path) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads only -12 and -1.5 as negative numbers, so -1e-3, -inf
+        # or -1,2 would be taken for an option that leaves its flag without a
+        # value. No option here looks like those, so they are values; the
+        # subparsers are built as type(parser) and share this rule.
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
     # usage problems must map to exit code 1, not argparse's default 2
     def error(self, message):
         raise ConfigError(message)
@@ -442,7 +452,7 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"bad --seeds list: {args.seeds!r}") from None
     if not seeds:
         raise ConfigError("--seeds must name at least one seed")
-    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+    repeated = sorted(s for s, count in Counter(seeds).items() if count > 1)
     if repeated:
         # every seed writes to out/seed_<seed>, so a repeat would race itself
         raise ConfigError(f"--seeds repeats seed(s) {','.join(map(str, repeated))}")

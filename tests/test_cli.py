@@ -380,17 +380,6 @@ def assert_same_run(a, b):
     assert strip(a / "manifest.txt") == strip(b / "manifest.txt")
 
 
-def test_seed_flag_overrides_config(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("t_end = 2\nseed = 1\n")
-    main(["run-market", "--config", str(cfg), "--out", str(tmp_path / "a")])
-    main(["run-market", "--config", str(cfg), "--out", str(tmp_path / "b"), "--seed", "2"])
-    assert (
-        (tmp_path / "a" / "weights_kernels.csv").read_bytes()
-        != (tmp_path / "b" / "weights_kernels.csv").read_bytes()
-    )
-
-
 def test_run_market_budget_failure(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("t_end = 5\nmax_steps = 40\n")
@@ -491,6 +480,11 @@ def test_price_call_output(capsys):
     out = capsys.readouterr().out.strip()
     assert re.fullmatch(r"\d+\.\d{6}", out)
     assert out == "10.450584"
+    # a negative value with an exponent is the flag's value, in either form
+    for rate in (["--rate", "-1e-3"], ["--rate=-1e-3"]):
+        assert main(["price-call", "--spot", "100", "--strike", "100", *rate,
+                     "--sigma", "0.2", "--maturity", "1"]) == 0
+        assert capsys.readouterr().out == "7.919627\n"
 
 
 def test_sweep_runs_each_seed(tmp_path):
@@ -574,18 +568,18 @@ SWEEP = ["sweep", "--config", "{cfg}", "--out", "{out}"]
 
 
 def price_call(**flags):
-    """price-call argv for the 100/100/0.05/0.2/1 call with ``flags`` replaced.
-    Each flag is written --flag=value: argparse reads a separate value that
-    looks like an option, such as -1e308, as a missing argument."""
+    """price-call argv for the 100/100/0.05/0.2/1 call with ``flags`` replaced,
+    each written as the two tokens --flag value."""
     values = {"spot": 100, "strike": 100, "rate": 0.05, "sigma": 0.2, "maturity": 1, **flags}
-    return ["price-call", *(f"--{key.replace('_', '-')}={value}"
-                            for key, value in values.items())]
+    return ["price-call", *(token for key, value in values.items()
+                            for token in (f"--{key.replace('_', '-')}", str(value)))]
 
 
 NON_FINITE = [("r", "nan"), ("c", "inf"), ("t_end", "nan"), ("t_end", "inf"),
               ("abs_tol", "nan"), ("h_max", "nan"), ("snapshot_stride", "nan")]
 PRICE_NON_FINITE = [("spot", "nan"), ("spot", "inf"), ("strike", "nan"), ("rate", "nan"),
-                    ("sigma", "nan"), ("valuation_time", "nan"), ("maturity", "inf")]
+                    ("rate", "-inf"), ("sigma", "nan"), ("valuation_time", "nan"),
+                    ("maturity", "inf")]
 
 case = pytest.param
 # (config file bytes or None, argv with {cfg} and {out} placeholders, message)
@@ -615,8 +609,12 @@ REFUSALS = [
          id="negative-seed-flag"),
     case(b"t_end = 1\n", SWEEP + ["--seeds", "1,-2"], "seed must be non-negative",
          id="negative-seed-sweep"),
+    case(b"t_end = 1\n", SWEEP + ["--seeds", "-1,2"], "seed must be non-negative",
+         id="negative-first-seed"),
     case(b"t_end = 1\n", SWEEP + ["--seeds", "1,2,1,1", "--workers", "4"], "repeats seed(s) 1",
          id="repeated-seeds"),
+    case(b"t_end = 1\n", SWEEP + ["--seeds", ",".join(map(str, [*range(50000), 0]))],
+         "repeats seed(s) 0", id="repeat-among-50000-seeds"),
     case(b"t_end = 1\n", SWEEP + ["--seeds", "3", "--workers", "0"],
          "--workers must be at least 1", id="workers-0"),
     case(b"t_end = 1\n", SWEEP + ["--seeds", "3", "--workers", "-1"],

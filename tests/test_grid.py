@@ -53,12 +53,6 @@ def test_spike_fixed_value_ends():
     assert out[0] == out[2] == 1.0
 
 
-def test_length_mismatch_rejected():
-    g = make_grid(0.0, 1.0, 5)
-    with pytest.raises(ValueError):
-        second_difference(np.zeros(4), g)
-
-
 def test_periodic_sine_matches_dense_eigenvalue():
     # a whole number of waves over the wrap period n is an eigenvector of
     # the undivided stencil, the unit-spacing matrix
@@ -108,10 +102,9 @@ def test_stacked_block_matches_row_by_row_bit_for_bit(kind):
     assert out.shape == (2, n)
     for row in range(2):
         assert np.array_equal(out[row], second_difference(block[row], g))
-    with pytest.raises(ValueError):
-        second_difference(np.zeros((2, n - 1)), g)
-    with pytest.raises(ValueError):
-        second_difference(np.zeros((n, 2)), g)
+    for shape in (n - 1, (2, n - 1), (n, 2)):
+        with pytest.raises(ValueError):
+            second_difference(np.zeros(shape), g)
 
 
 def test_periodic_row_sum_telescopes_to_zero():

@@ -15,7 +15,6 @@ from nlsmarket.integrator import (
     TABLEAU,
     WEIGHTS_5TH,
     StepControl,
-    StepStats,
     _scaled_error_norm,
     cash_karp_step,
     integrate_adaptive,
@@ -368,12 +367,6 @@ def test_next_h_is_the_starting_step_when_every_step_lands():
     _, stats = integrate_adaptive(EXP, 0.0, 1e-3, np.array([1.0]), ctl)
     assert stats.accepted == 1
     assert stats.next_h == 1e-3
-
-
-def test_merge_takes_the_later_next_h():
-    total = StepStats(next_h=1e-3)
-    total.merge(StepStats(accepted=3, next_h=0.25))
-    assert total.next_h == 0.25 and total.accepted == 3
 
 
 def test_snapshot_segments_start_from_the_carried_step(monkeypatch):

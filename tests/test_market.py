@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlsmarket.errors import ConfigError, StepBudgetError, StiffnessError
-from nlsmarket.grid import make_grid, second_difference
+from nlsmarket.grid import make_grid
 from nlsmarket.integrator import StepControl, _scaled_error_norm, cash_karp_step
 from nlsmarket.market import (
     ModelConfig,
@@ -23,7 +23,7 @@ from nlsmarket.market import (
     unpack_state,
 )
 
-from oracles import coupled_rhs_oracle, dense_second_difference
+from oracles import coupled_rhs_oracle
 
 
 def small_config(**kw):
@@ -68,25 +68,6 @@ def test_target_output_examples():
     lone = np.zeros(30)
     lone[4] = 1.0
     assert target_output(density(lone), grid) == pytest.approx(grid.nodes[4] * grid.ds, rel=1e-13)
-
-
-def test_gaussian_kernel_examples():
-    grid = make_grid(10.0, 20.0, 5)
-    one_minus_m_sq = (1.0 - np.array([0.0, 0.5, 1.0, -0.5, 0.9])) ** 2
-
-    # sigma = 0 at t = 0 gives d = 0, so every kernel is exactly one
-    assert np.all(gaussian_kernels(0.0, density(np.zeros(5)), grid, one_minus_m_sq) == 1.0)
-
-    # build d = 1 by putting all the density on one node
-    j = 2
-    amp = 1.0 / np.sqrt(grid.nodes[j] * grid.ds)
-    sigma = np.zeros(5)
-    sigma[j] = amp
-    assert target_output(density(sigma), grid) == pytest.approx(1.0, rel=1e-12)
-    g = gaussian_kernels(0.0, density(sigma), grid, one_minus_m_sq)
-    assert g[0] == pytest.approx(np.exp(-1.0), rel=1e-12)  # m = 0
-    assert g[2] == pytest.approx(1.0, rel=1e-14)  # m = 1 kills the exponent
-    assert np.all((g > 0.0) & (g <= 1.0))
 
 
 def test_gaussian_kernels_match_the_squared_product_form():
@@ -243,19 +224,6 @@ def test_endpoint_derivatives_agree_under_wrap():
     # spatially constant state: the repeatable-BC residual is exactly zero
     assert d_sigma[0] == d_sigma[-1]
     assert d_psi[0] == d_psi[-1]
-
-
-def test_wrap_stencil_wiring():
-    grid = make_grid(0.0, 1.0, 6)
-    dense = dense_second_difference(6, grid.ds)
-    scale = 1.0 / grid.ds**2
-    assert dense[0, 5] == scale and dense[0, 0] == -2.0 * scale and dense[0, 1] == scale
-    assert dense[5, 4] == scale and dense[5, 5] == -2.0 * scale and dense[5, 0] == scale
-    # the library's undivided operator realizes exactly those rows times ds**2
-    for k in (0, 5):
-        basis = np.zeros(6)
-        basis[k] = 1.0
-        assert np.allclose(second_difference(basis, grid) * scale, dense[:, k])
 
 
 def test_init_state_values_and_seeding():
