@@ -480,11 +480,14 @@ def test_price_call_output(capsys):
     out = capsys.readouterr().out.strip()
     assert re.fullmatch(r"\d+\.\d{6}", out)
     assert out == "10.450584"
-    # a negative value with an exponent is the flag's value, in either form
-    for rate in (["--rate", "-1e-3"], ["--rate=-1e-3"]):
-        assert main(["price-call", "--spot", "100", "--strike", "100", *rate,
-                     "--sigma", "0.2", "--maturity", "1"]) == 0
-        assert capsys.readouterr().out == "7.919627\n"
+
+
+@pytest.mark.parametrize("rate", [["--rate", "-1e-3"], ["--rate=-1e-3"]],
+                         ids=["two-tokens", "equals"])
+def test_negative_exponent_is_the_flags_value(rate, capsys):
+    assert main(["price-call", "--spot", "100", "--strike", "100", *rate,
+                 "--sigma", "0.2", "--maturity", "1"]) == 0
+    assert capsys.readouterr().out == "7.919627\n"
 
 
 def test_sweep_runs_each_seed(tmp_path):

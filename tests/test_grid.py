@@ -102,9 +102,14 @@ def test_stacked_block_matches_row_by_row_bit_for_bit(kind):
     assert out.shape == (2, n)
     for row in range(2):
         assert np.array_equal(out[row], second_difference(block[row], g))
-    for shape in (n - 1, (2, n - 1), (n, 2)):
-        with pytest.raises(ValueError):
-            second_difference(np.zeros(shape), g)
+
+
+@pytest.mark.parametrize("shape", [29, (2, 29), (30, 2)],
+                         ids=["short-row", "short-block", "nodes-down-rows"])
+def test_length_mismatch_rejected(shape):
+    g = make_grid(10.0, 20.0, 30)
+    with pytest.raises(ValueError):
+        second_difference(np.zeros(shape), g)
 
 
 def test_periodic_row_sum_telescopes_to_zero():
