@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, IntegrationError
 from .grid import make_grid
-from .integrator import StepControl, integrate_adaptive
+from .integrator import StepControl, StepStats, integrate_adaptive, integrate_members
 from .ladder import (
     complex_system,
     energy,
@@ -301,16 +301,23 @@ def run_market(config: ModelConfig, outdir: Path) -> int:
 # integrator tolerances every stage runs at; the gate applies at the last
 TOLERANCES = (1e-6, 1e-8)
 
-# a stage runs at one integrator tolerance and returns its metrics as
-# (name, value, location) triples
+# a stage runs at a tuple of integrator tolerances and returns, per
+# tolerance, its metrics as (name, value, location) triples and the
+# integration's StepStats
 Metric = Tuple[str, float, str]
+StageResult = Tuple[List[Metric], StepStats]
+
+
+def _controls(tolerances: Sequence[float]) -> List[StepControl]:
+    return [StepControl(abs_tol=tol, rel_tol=tol) for tol in tolerances]
 
 
 def _integrate_field(rhs_fn, field0: np.ndarray, t_end: float, tol: float, observer=None):
+    """The field at t_end under one tolerance, and the run's StepStats."""
     ctl = StepControl(abs_tol=tol, rel_tol=tol)
-    y, _ = integrate_adaptive(complex_system(rhs_fn), 0.0, t_end, pack_complex(field0), ctl,
-                              observer=observer)
-    return unpack_complex(y)
+    y, stats = integrate_adaptive(complex_system(rhs_fn), 0.0, t_end, pack_complex(field0),
+                                  ctl, observer=observer)
+    return unpack_complex(y), stats
 
 
 def _peak(values: np.ndarray, at: Sequence[float], axis: str) -> Tuple[float, str]:
@@ -319,10 +326,11 @@ def _peak(values: np.ndarray, at: Sequence[float], axis: str) -> Tuple[float, st
     return float(values[k]), f"{axis}={at[k]:g}"
 
 
-def _stage_gaussian(n: int, v: float, t_end: float, tol: float) -> List[Metric]:
+def _stage_gaussian(n: int, v: float, t_end: float,
+                    tolerances: Sequence[float]) -> List[StageResult]:
     """A unit Gaussian under u_t = (1/2) u_xx + V u, against the exact
     exp(Vt) (1+t)^-1/2 exp(-x^2 / (2 (1+t))); V = 0 is the plain heat
-    equation."""
+    equation. The tolerances are members of one integration."""
     grid = make_grid(-10.0, 10.0, n)
     x = grid.nodes
     u0 = np.exp(-(x**2) / 2.0)
@@ -331,38 +339,53 @@ def _stage_gaussian(n: int, v: float, t_end: float, tol: float) -> List[Metric]:
         rhs = lambda t, u: heat_potential_rhs(u, grid, v)
     else:
         rhs = lambda t, u: heat_rhs(u, grid)
-    u1, _ = integrate_adaptive(rhs, 0.0, t_end, u0, StepControl(abs_tol=tol, rel_tol=tol))
+    finals, stats = integrate_members(rhs, 0.0, t_end, [u0] * len(tolerances),
+                                      _controls(tolerances))
     exact = np.exp(v * t_end) * (1.0 + t_end) ** -0.5 * np.exp(-(x**2) / (2.0 * (1.0 + t_end)))
-    return [("max_error", *_peak(np.abs(u1 - exact), x, "x"))]
+    return [([("max_error", *_peak(np.abs(u1 - exact), x, "x"))], s)
+            for u1, s in zip(finals, stats)]
 
 
-def _stage_linear(tol: float) -> List[Metric]:
+def _stage_linear(tolerances: Sequence[float]) -> List[StageResult]:
+    """Mass drift of a Gaussian under the linear Schrodinger equation,
+    watched at every accepted step: one integration per tolerance."""
     grid = make_grid(-10.0, 10.0, 201)
     psi0 = np.exp(-(grid.nodes**2) / 2.0).astype(complex)
     mass0 = mass(psi0, grid)
-    times, drifts = [0.0], [0.0]
+    results = []
+    for tol in tolerances:
+        times, drifts = [0.0], [0.0]
 
-    def watch(t, y):
-        times.append(t)
-        drifts.append(abs(mass(unpack_complex(y), grid) - mass0))
+        def watch(t, y):
+            times.append(t)
+            drifts.append(abs(mass(unpack_complex(y), grid) - mass0))
 
-    _integrate_field(lambda f: linear_schrodinger_rhs(f, grid, 1.0), psi0, 1.0, tol,
-                     observer=watch)
-    return [("mass_drift", *_peak(np.array(drifts), times, "t"))]
+        _, stats = _integrate_field(lambda f: linear_schrodinger_rhs(f, grid, 1.0), psi0, 1.0,
+                                    tol, observer=watch)
+        results.append(([("mass_drift", *_peak(np.array(drifts), times, "t"))], stats))
+    return results
 
 
-def _stage_nls(tol: float) -> List[Metric]:
+def _stage_nls(tolerances: Sequence[float]) -> List[StageResult]:
+    """The sech soliton of the focusing cubic NLS over t = 5: its modulus
+    and energy. The tolerances are members of one integration."""
     grid = make_grid(-20.0, 20.0, 801)
     x = grid.nodes
     psi0 = (1.0 / np.cosh(x)).astype(complex)
     v = -1.0
     h0 = energy(psi0, grid, v)
-    psi1 = _integrate_field(lambda f: nls_rhs(f, grid, v), psi0, 5.0, tol)
-    h1 = energy(psi1, grid, v)
-    return [
-        ("max_modulus_deviation", *_peak(np.abs(np.abs(psi1) - np.abs(psi0)), x, "x")),
-        ("energy_drift_rel", abs(h1 - h0) / abs(h0), "t=5"),
-    ]
+    y0 = pack_complex(psi0)
+    finals, stats = integrate_members(complex_system(lambda f: nls_rhs(f, grid, v)), 0.0, 5.0,
+                                      [y0] * len(tolerances), _controls(tolerances))
+    results = []
+    for y1, s in zip(finals, stats):
+        psi1 = unpack_complex(y1)
+        h1 = energy(psi1, grid, v)
+        results.append(([
+            ("max_modulus_deviation", *_peak(np.abs(np.abs(psi1) - np.abs(psi0)), x, "x")),
+            ("energy_drift_rel", abs(h1 - h0) / abs(h0), "t=5"),
+        ], s))
+    return results
 
 
 # stage name -> (runner, oracle threshold)
@@ -377,16 +400,22 @@ STAGES = {
 def run_ladder(stage: str, outdir: Path) -> int:
     """Run one verification stage at each of TOLERANCES, write a report.
 
+    The report's head has one "# tolerance=<tol> accepted=… rejected=…
+    rhs_evaluations=…" line per tolerance, with the step counts of that
+    tolerance's integration; then come one row per tolerance and metric.
     The gate is the stage's oracle threshold in STAGES, applied at the
     tightest integrator tolerance.
     """
     if stage not in STAGES:
         raise ConfigError(f"unknown ladder stage {stage!r}; choose from {sorted(STAGES)}")
     runner, gate = STAGES[stage]
-    lines = [f"# schema={LADDER_SCHEMA}", f"# stage={stage}",
-             "tolerance,metric,value,threshold,passed,location"]
-    for tol in TOLERANCES:
-        metrics = runner(tol)
+    results = runner(TOLERANCES)
+    lines = [f"# schema={LADDER_SCHEMA}", f"# stage={stage}"]
+    lines += [f"# tolerance={tol:.10g} accepted={stats.accepted} rejected={stats.rejected} "
+              f"rhs_evaluations={stats.rhs_evaluations}"
+              for tol, (_, stats) in zip(TOLERANCES, results)]
+    lines.append("tolerance,metric,value,threshold,passed,location")
+    for tol, (metrics, _) in zip(TOLERANCES, results):
         lines += [f"{tol:.10g},{name},{value:.10g},{gate:.10g},"
                   f"{str(value <= gate).lower()},{where}" for name, value, where in metrics]
     with OutputSet(outdir) as files:

@@ -5,14 +5,16 @@ embedded 4th-order solution drives the step controller. Every stage
 state, and the pair (y5, err), is one matrix product of the tableau's rows
 scaled by h with the rows [y, k0, ..., k5] of one step. States are flat
 real vectors; complex fields are carried as interleaved (Re, Im) pairs by
-the callers (see ladder.pack_complex).
+the callers (see ladder.pack_complex). integrate_adaptive runs one
+integration; integrate_members runs several of one right-hand side in
+lockstep, each bit for bit its own integrate_adaptive run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -190,6 +192,77 @@ def _scaled_error_norm(err: np.ndarray, y: np.ndarray, ctl: StepControl) -> floa
     return norm if math.isfinite(norm) else float("inf")
 
 
+class _Member:
+    """The step policy of one integration from t0 to t1 under ctl.
+
+    It holds the integration's time t, its step, its PI memory, its
+    StepStats and its budget. Both drivers take every step through it:
+    ``attempt`` gives the size of the next attempt and ``judge`` accepts
+    or rejects that attempt from its result, by the rules that
+    integrate_adaptive states.
+    """
+
+    __slots__ = ("ctl", "t1", "h_max", "t", "h", "h_attempt", "final", "err_prev",
+                 "after_reject", "stats")
+
+    def __init__(self, t0: float, t1: float, ctl: StepControl):
+        if not t1 > t0:
+            raise ConfigError(f"need t1 > t0, got [{t0}, {t1}]")
+        h_max = ctl.h_max if ctl.h_max is not None else (t1 - t0) / 10.0
+        self.h_max = max(h_max, ctl.h_min)
+        self.h = min(max(ctl.h_init, ctl.h_min), self.h_max)
+        self.stats = StepStats(next_h=self.h)
+        self.ctl, self.t1, self.t = ctl, t1, t0
+        self.err_prev = ERR_PREV_FLOOR
+        self.after_reject = False
+
+    def attempt(self) -> float:
+        """The size of the next attempt, landing on t1 if it reaches it;
+        StepBudgetError once max_steps attempts are spent."""
+        stats = self.stats
+        if stats.accepted + stats.rejected >= self.ctl.max_steps:
+            raise StepBudgetError(self.ctl.max_steps, self.t, stats)
+        remaining = self.t1 - self.t
+        self.final = self.h * (1.0 + LANDING_SLACK) >= remaining
+        self.h_attempt = remaining if self.final else self.h
+        return self.h_attempt
+
+    def judge(self, y: np.ndarray, y5: np.ndarray, err: np.ndarray) -> bool:
+        """Accept (True) or reject the attempt from y that gave (y5, err),
+        and propose the next step; StiffnessError if it was rejected at h_min."""
+        ctl, stats, h_attempt = self.ctl, self.stats, self.h_attempt
+        errnorm = _scaled_error_norm(err, y, ctl)
+        if not np.isfinite(y5).all():
+            errnorm = float("inf")
+
+        if errnorm <= 1.0:
+            stats.accepted += 1
+            stats.min_h_used = min(stats.min_h_used, h_attempt)
+            stats.max_h_used = max(stats.max_h_used, h_attempt)
+            self.t = self.t1 if self.final else self.t + h_attempt
+            factor = (ctl.safety * max(errnorm, 1e-300) ** (0.75 * BETA - 0.2)
+                      * self.err_prev**BETA)
+            factor = min(max(factor, MAX_SHRINK), 1.0 if self.after_reject else MAX_GROWTH)
+            self.err_prev = max(errnorm, ERR_PREV_FLOOR)
+            self.after_reject = False
+            self.h = min(max(h_attempt * factor, ctl.h_min), self.h_max)
+            if not self.final:
+                stats.next_h = self.h
+            return True
+
+        stats.rejected += 1
+        if h_attempt <= ctl.h_min:
+            raise StiffnessError(
+                f"error norm {errnorm:.3g} not satisfiable at h_min={ctl.h_min} (t={self.t})",
+                t=self.t,
+                stats=stats,
+            )
+        factor = max(ctl.safety * (1.0 / errnorm) ** 0.2, MAX_SHRINK)
+        self.after_reject = True
+        self.h = min(max(h_attempt * factor, ctl.h_min), self.h_max)
+        return False
+
+
 def integrate_adaptive(
     rhs: Rhs,
     t0: float,
@@ -225,60 +298,94 @@ def integrate_adaptive(
     A step whose error estimate or result is not finite is rejected. The
     rhs and the observer run with overflow and invalid-operation warnings
     off, because a step that overflows is rejected by its error norm.
+    integrate_members runs several such integrations of one rhs together.
     """
-    if not t1 > t0:
-        raise ConfigError(f"need t1 > t0, got [{t0}, {t1}]")
+    member = _Member(t0, t1, ctl)
     y = np.array(y0, dtype=float)
     if y.ndim != 1:
         raise ValueError(f"start state must be a 1-D vector, got shape {y.shape}")
 
-    stats = StepStats()
-    h_max = ctl.h_max if ctl.h_max is not None else (t1 - t0) / 10.0
-    h_max = max(h_max, ctl.h_min)
-    h = min(max(ctl.h_init, ctl.h_min), h_max)
-    stats.next_h = h
-    t = t0
-    err_prev = ERR_PREV_FLOOR
-    after_reject = False
-
     with np.errstate(over="ignore", invalid="ignore"):
-        while t < t1:
-            if stats.accepted + stats.rejected >= ctl.max_steps:
-                raise StepBudgetError(ctl.max_steps, t, stats)
-            remaining = t1 - t
-            final = h * (1.0 + LANDING_SLACK) >= remaining
-            h_attempt = remaining if final else h
-            y5, err = cash_karp_step(rhs, t, y, h_attempt)
-            errnorm = _scaled_error_norm(err, y, ctl)
-            if not np.isfinite(y5).all():
-                errnorm = float("inf")
-
-            if errnorm <= 1.0:
-                stats.accepted += 1
-                stats.min_h_used = min(stats.min_h_used, h_attempt)
-                stats.max_h_used = max(stats.max_h_used, h_attempt)
-                t = t1 if final else t + h_attempt
+        while member.t < t1:
+            y5, err = cash_karp_step(rhs, member.t, y, member.attempt())
+            if member.judge(y, y5, err):
                 y = y5
                 if observer is not None:
-                    observer(t, y.copy())
-                factor = (ctl.safety * max(errnorm, 1e-300) ** (0.75 * BETA - 0.2)
-                          * err_prev**BETA)
-                factor = min(max(factor, MAX_SHRINK), 1.0 if after_reject else MAX_GROWTH)
-                err_prev = max(errnorm, ERR_PREV_FLOOR)
-                after_reject = False
-                h = min(max(h_attempt * factor, ctl.h_min), h_max)
-                if not final:
-                    stats.next_h = h
-            else:
-                stats.rejected += 1
-                if h_attempt <= ctl.h_min:
-                    raise StiffnessError(
-                        f"error norm {errnorm:.3g} not satisfiable at h_min={ctl.h_min} (t={t})",
-                        t=t,
-                        stats=stats,
-                    )
-                factor = max(ctl.safety * (1.0 / errnorm) ** 0.2, MAX_SHRINK)
-                after_reject = True
-                h = min(max(h_attempt * factor, ctl.h_min), h_max)
+                    observer(member.t, y.copy())
 
-    return y, stats
+    return y, member.stats
+
+
+# The right-hand side of integrate_members: rhs(t, y) takes a vector t of
+# k stage times and a (k, d) stack y of k stage states, one row per running
+# member, and returns the (k, d) stack of their derivatives. Row j of the
+# result must be the Rhs of row j alone, at time t[j]; the Rhs contract
+# holds for the stack as a whole.
+StackRhs = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def integrate_members(
+    rhs: StackRhs,
+    t0: float,
+    t1: float,
+    y0s: Sequence[np.ndarray],
+    controls: Sequence[StepControl],
+):
+    """Integrate one system from several starts or controls together, t0 to t1.
+
+    Member m starts from y0s[m] under controls[m]. It has its own t, step,
+    PI memory, StepStats and budget, and takes every step through the one
+    step policy of integrate_adaptive. Each Cash-Karp stage calls rhs once,
+    on the stack of the running members' stage states (see StackRhs); each
+    member forms its own stage states, y5 and err from its own rows with
+    the products of cash_karp_step. So member m is, bit for bit, the
+    integrate_adaptive run of rhs on row m from y0s[m] under controls[m].
+    A member leaves the stack when it lands on t1.
+
+    Returns (ys, stats): the (k, d) array of final states and each
+    member's StepStats. The first member to fail raises the
+    StepBudgetError or StiffnessError of its own integrate_adaptive run.
+    An rhs result not shaped like the stack raises ValueError. The rhs runs
+    under the errstate of integrate_adaptive, set once per call. There is
+    no observer.
+    """
+    members = [_Member(t0, t1, ctl) for ctl in controls]
+    finals = np.array(y0s, dtype=float)
+    if finals.ndim != 2 or len(finals) != len(members):
+        raise ValueError(
+            f"need one 1-D start state per control, got shape {finals.shape} "
+            f"for {len(members)} controls")
+    # row j of rows holds [y, k0, ..., k5] of the running member live[j], the
+    # rows of cash_karp_step; a member's rows are dropped when it lands
+    live = list(range(len(members)))
+    rows = np.empty((len(members), 7, finals.shape[1]))
+    rows[:, 0] = finals
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        while live:
+            steps = np.array([members[m].attempt() for m in live])
+            coefs = steps[:, None, None] * TABLEAU  # each member's coef of cash_karp_step
+            coefs[:, :, 0] = TABLEAU[:, 0]
+            times = np.array([members[m].t for m in live])
+            stage_times = times + np.multiply.outer(STAGE_TIMES, steps)
+            stage = rows[:, 0].copy()  # the stack of stage states, rebuilt per stage
+            rows[:, 1] = _evaluate(rhs, times, stage)
+            for i in range(1, 6):
+                for j, coef in enumerate(coefs):
+                    np.dot(coef[i, :i + 1], rows[j, :i + 1], out=stage[j])
+                rows[:, i + 1] = _evaluate(rhs, stage_times[i], stage)
+
+            keep = []
+            for j, (m, coef) in enumerate(zip(live, coefs)):
+                y5, err = coef[6:] @ rows[j]
+                if members[m].judge(rows[j, 0], y5, err):
+                    rows[j, 0] = y5
+                if members[m].t < t1:
+                    keep.append(j)
+                else:
+                    finals[m] = y5
+            if len(keep) < len(live):
+                live = [live[j] for j in keep]
+                rows = rows[keep]
+
+    return finals, [member.stats for member in members]

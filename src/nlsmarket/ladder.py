@@ -103,7 +103,8 @@ def complex_system(fn: Callable[[np.ndarray], np.ndarray]) -> Rhs:
     The packed state, a contiguous float64 vector as the integrator passes
     it, is handed to ``fn`` as its complex128 view, and the map's
     complex128 result comes back as its float64 view, so a call copies
-    nothing. That relies on the Rhs contract, which ``fn`` must keep as
+    nothing. A (k, 2n) stack of packed states, as integrate_members passes
+    it, is handed over as its (k, n) view in the same way. That relies on the Rhs contract, which ``fn`` must keep as
     well: it neither keeps nor mutates its argument (the view shares the
     integrator's stage buffer) and returns a fresh array.
     """

@@ -53,7 +53,8 @@ def test_01_integrator_order():
 def stage_metrics(stage: str) -> dict:
     """The shipped ladder stage's metrics at tolerance 1e-8, by name."""
     runner = STAGES[stage][0]
-    return {name: value for name, value, _ in runner(1e-8)}
+    metrics, _ = runner((1e-8,))[0]
+    return {name: value for name, value, _ in metrics}
 
 
 def test_02_heat_stage_against_analytic_kernel():

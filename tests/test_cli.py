@@ -14,11 +14,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import nlsmarket.cli as cli
 from nlsmarket.cli import (
     CONFIG_KEYS,
     MARKET_FILES,
     STAGES,
     SURFACE_SCHEMA,
+    TOLERANCES,
     TRACES_SCHEMA,
     OutputSet,
     _fmt,
@@ -433,10 +435,39 @@ def test_fast_ladder_stages_pass(stage, tmp_path):
     assert main(["run-ladder", "--stage", stage, "--out", str(tmp_path)]) == 0
     report = (tmp_path / f"ladder_{stage}.csv").read_text()
     assert report.startswith("# schema=nlsmarket.ladder-report.v1")
-    gate_rows = [l for l in report.splitlines()[3:] if l]
+    gate_rows = [l for l in report.splitlines() if l and not l.startswith("#")][1:]
     assert all(",true," in row for row in gate_rows[-1:])
     # every row is judged against the stage's one gate
     assert {float(row.split(",")[3]) for row in gate_rows} == {STAGES[stage][1]}
+
+
+@pytest.mark.parametrize("stage", ["heat", "heat-potential", "linear"])
+def test_ladder_report_counts_the_steps_of_each_tolerance(stage, tmp_path, monkeypatch):
+    # the report's "# tolerance=" lines carry the StepStats of plain
+    # integrate_adaptive runs of the stage's integrations, one per tolerance,
+    # whether the stage runs its tolerances as members of one call or not
+    calls = []
+    real_members, real_adaptive = cli.integrate_members, cli.integrate_adaptive
+
+    def members(rhs, t0, t1, y0s, controls):
+        calls.extend((rhs, t0, t1, y0, ctl) for y0, ctl in zip(y0s, controls))
+        return real_members(rhs, t0, t1, y0s, controls)
+
+    def adaptive(rhs, t0, t1, y0, ctl, observer=None):
+        calls.append((rhs, t0, t1, y0, ctl))
+        return real_adaptive(rhs, t0, t1, y0, ctl, observer=observer)
+
+    monkeypatch.setattr(cli, "integrate_members", members)
+    monkeypatch.setattr(cli, "integrate_adaptive", adaptive)
+    assert main(["run-ladder", "--stage", stage, "--out", str(tmp_path)]) == 0
+    assert [ctl.abs_tol for *_, ctl in calls] == list(TOLERANCES)
+    expected = []
+    for rhs, t0, t1, y0, ctl in calls:
+        stats = real_adaptive(rhs, t0, t1, y0, ctl)[1]
+        expected.append(f"# tolerance={ctl.abs_tol:.10g} accepted={stats.accepted} "
+                        f"rejected={stats.rejected} rhs_evaluations={stats.rhs_evaluations}")
+    report = (tmp_path / f"ladder_{stage}.csv").read_text().splitlines()
+    assert [l for l in report if l.startswith("# tolerance=")] == expected
 
 
 def test_ladder_gate_override_forces_failure(tmp_path, capsys, monkeypatch):
@@ -460,7 +491,7 @@ def test_run_ladder_rejects_an_unknown_stage(tmp_path):
 
 
 def test_ladder_integration_failure_exits_2_without_a_report(tmp_path, capsys, monkeypatch):
-    def runner(tol):
+    def runner(tolerances):
         raise StiffnessError("error norm 3.5 not satisfiable at h_min=1e-10 (t=0.25)", t=0.25)
 
     monkeypatch.setitem(STAGES, "heat", (runner, STAGES["heat"][1]))

@@ -18,6 +18,7 @@ from nlsmarket.integrator import (
     _scaled_error_norm,
     cash_karp_step,
     integrate_adaptive,
+    integrate_members,
 )
 from nlsmarket.ladder import complex_system, nls_rhs, pack_complex
 from nlsmarket.market import ModelConfig, coupled_rhs, init_state, run_simulation
@@ -387,19 +388,22 @@ def test_snapshot_segments_start_from_the_carried_step(monkeypatch):
     assert rec.stats.next_h == starts[-1][1]
 
 
+class CountingNumpy:
+    """numpy, counting the errstate contexts entered through it."""
+
+    errstates = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def errstate(self, **kwargs):
+        self.errstates += 1
+        return np.errstate(**kwargs)
+
+
 def test_one_errstate_per_integration(monkeypatch):
     # the floating-point policy is set once per integrate_adaptive call, not
     # again by every step it attempts
-    class CountingNumpy:
-        errstates = 0
-
-        def __getattr__(self, name):
-            return getattr(np, name)
-
-        def errstate(self, **kwargs):
-            self.errstates += 1
-            return np.errstate(**kwargs)
-
     calls = []
     original = market.integrate_adaptive
 
@@ -423,3 +427,109 @@ def test_dense_snapshot_run_takes_ten_steps_per_segment(seed):
     rec = run_simulation(ModelConfig(t_end=10.0, snapshot_stride=0.05, seed=seed))
     assert rec.stats.accepted == 2_001 and rec.stats.rejected == 0
     assert rec.stats.rhs_evaluations == 12_006
+
+
+# Member driver: each member is its own integrate_adaptive run, bit for bit.
+# Small systems whose stacked right-hand side is the row-wise one exactly:
+# the ladder's soliton on a 31-node grid, and a non-autonomous logistic
+# equation y' = y (t - y), whose stage times matter.
+SMALL_GRID = make_grid(-10.0, 10.0, 31)
+SMALL_NLS = complex_system(lambda f: nls_rhs(f, SMALL_GRID, -1.0))
+SECH = pack_complex(1.0 / np.cosh(SMALL_GRID.nodes))
+LOGISTIC = lambda t, y: y * (np.asarray(t)[..., None] - y)
+
+
+def control(tol, **kwargs):
+    return StepControl(abs_tol=tol, rel_tol=tol, **kwargs)
+
+
+def plain_runs(rhs, t1, y0s, controls):
+    """integrate_adaptive of every member on its own: (y, stats, the start
+    time of every attempt)."""
+    runs = []
+    for y0, ctl in zip(y0s, controls):
+        times = []
+
+        def recording(t, y):
+            times.append(t)
+            return rhs(t, y)
+
+        y, stats = integrate_adaptive(recording, 0.0, t1, y0, ctl)
+        runs.append((y, stats, times[::len(STAGE_TIMES)]))
+    return runs
+
+
+MEMBER_CASES = {
+    # the loose member lands first and leaves the stack
+    "tolerances-land-apart": (SMALL_NLS, 2.0, [SECH, SECH], [control(1e-4), control(1e-9)]),
+    # from different starts, the first member's first attempt is rejected
+    # while the second member's is accepted
+    "reject-beside-accept": (LOGISTIC, 1.5, [np.array([0.5, 1.0]), np.array([2.0, 0.1])],
+                             [control(1e-9, h_init=0.5), control(1e-6)]),
+    "one-member": (SMALL_NLS, 2.0, [SECH], [control(1e-6)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MEMBER_CASES))
+def test_members_match_their_plain_runs_bit_for_bit(case, monkeypatch):
+    rhs, t1, y0s, controls = MEMBER_CASES[case]
+    runs = plain_runs(rhs, t1, y0s, controls)
+    counts = [stats.accepted + stats.rejected for _, stats, _ in runs]
+    if case == "tolerances-land-apart":
+        assert counts[0] < counts[1]
+    if case == "reject-beside-accept":
+        # the second attempt starts where the first did only after a rejection
+        assert runs[0][2][1] == 0.0 < runs[1][2][1]
+
+    stack_sizes = []
+
+    def stacked(t, y):
+        assert t.shape == (len(y),)
+        stack_sizes.append(len(y))
+        return rhs(t, y)
+
+    counting_np = CountingNumpy()
+    monkeypatch.setattr(integrator, "np", counting_np)
+    finals, stats = integrate_members(stacked, 0.0, t1, y0s, controls)
+    assert counting_np.errstates == 1
+    assert finals.shape == (len(y0s), len(y0s[0]))
+    for (y, plain_stats, _), y_member, member_stats in zip(runs, finals, stats):
+        assert y_member.tobytes() == y.tobytes()
+        assert member_stats == plain_stats
+    # one rhs call per stage on the members still running: a member leaves
+    # the stack when it lands
+    assert stack_sizes == [sum(c > i for c in counts) for i in range(max(counts))
+                           for _ in STAGE_TIMES]
+
+
+FAILING_MEMBERS = {
+    # the second member's budget runs out while the first keeps stepping
+    "budget": (StepBudgetError, [control(1e-6), control(1e-9, max_steps=3)]),
+    # the second member fails at its first attempt, before the first
+    # member's budget runs out at its sixth
+    "h_min": (StiffnessError,
+              [control(1e-6, max_steps=5), control(1e-12, h_init=1.0, h_min=1.0)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILING_MEMBERS))
+def test_first_failing_member_raises_its_plain_error(case):
+    error, controls = FAILING_MEMBERS[case]
+    with pytest.raises(error) as plain:
+        integrate_adaptive(SMALL_NLS, 0.0, 2.0, SECH, controls[1])
+    with pytest.raises(error) as member:
+        integrate_members(SMALL_NLS, 0.0, 2.0, [SECH, SECH], controls)
+    assert str(member.value) == str(plain.value)
+    assert member.value.t == plain.value.t
+    assert member.value.stats == plain.value.stats
+
+
+def test_members_reject_a_result_not_shaped_like_the_stack():
+    controls = [control(1e-6), control(1e-8)]
+    # a row, a column or a flat stack would broadcast over the stage rows
+    for bad in (lambda t, y: y[0], lambda t, y: y[:, :1], lambda t, y: y.ravel()):
+        with pytest.raises(ValueError, match="rhs result of shape"):
+            integrate_members(bad, 0.0, 1.0, [SECH, SECH], controls)
+    # one start state per control
+    with pytest.raises(ValueError, match="one 1-D start state per control"):
+        integrate_members(SMALL_NLS, 0.0, 1.0, [SECH], controls)

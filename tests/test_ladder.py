@@ -58,7 +58,7 @@ def test_heat_solution_vs_analytic_kernel():
     grid = make_grid(-10.0, 10.0, 201)
     x = grid.nodes
     u0 = np.exp(-(x**2) / 2.0).astype(complex)
-    u1 = _integrate_field(lambda f: heat_rhs(f, grid), u0, 1.0, 1e-8)
+    u1, _ = _integrate_field(lambda f: heat_rhs(f, grid), u0, 1.0, 1e-8)
 
     dense = 0.5 * dense_second_difference(grid.n, grid.ds)
     semi_discrete = expm(dense) @ u0.real
@@ -116,7 +116,8 @@ def test_plane_wave_modulus_is_stationary():
     grid = make_grid(0.0, float(n - 1), n)
     q = 2.0 * np.pi * 3.0 / (n * grid.ds)
     psi0 = np.exp(1j * q * grid.nodes)
-    psi1 = _integrate_field(lambda f: linear_schrodinger_rhs(f, grid, 0.0), psi0, 1.0, 1e-8)
+    psi1, _ = _integrate_field(lambda f: linear_schrodinger_rhs(f, grid, 0.0), psi0, 1.0,
+                               1e-8)
     assert np.max(np.abs(np.abs(psi1) - 1.0)) < 1e-7
     # analytic phase of the semi-discrete mode
     lam = -(4.0 / grid.ds**2) * np.sin(q * grid.ds / 2.0) ** 2
@@ -151,7 +152,7 @@ def test_soliton_modulus_and_invariants():
     v = -1.0
     mass0 = mass(psi0, grid)
     h0 = energy(psi0, grid, v)
-    psi1 = _integrate_field(lambda f: nls_rhs(f, grid, v), psi0, 5.0, 1e-8)
+    psi1, _ = _integrate_field(lambda f: nls_rhs(f, grid, v), psi0, 5.0, 1e-8)
 
     dev = np.max(np.abs(np.abs(psi1) - np.abs(psi0)))
     assert 1.7e-3 < dev < 2.0e-3
@@ -293,3 +294,15 @@ def test_complex_system_hands_the_map_a_view_and_returns_a_fresh_array(stage):
     assert not np.shares_memory(out, y)
     expected = pack_complex(LADDER_MAPS[stage](unpack_complex(before), grid))
     assert out.tobytes() == expected.tobytes()
+
+    # a (k, 2n) stack of packed states, as integrate_members passes it, is
+    # handed over as its (k, n) complex view, and each row of the result is
+    # that row's own result bit for bit
+    stack = np.stack([before, pack_complex(random_field(grid.n, 4))])
+    stack.setflags(write=False)
+    out = rhs(np.zeros(2), stack)
+    assert seen[1].shape == (2, grid.n) and seen[1].dtype == np.complex128
+    assert np.shares_memory(seen[1], stack)
+    assert out.shape == stack.shape and not np.shares_memory(out, stack)
+    for row, state in zip(out, stack):
+        assert row.tobytes() == rhs(0.0, state).tobytes()
