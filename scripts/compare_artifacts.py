@@ -2,17 +2,22 @@
 
 Runs the same nlsmarket commands from two checkouts (the parent commit and
 the change), each with its own ``src/`` on the path, and prints one line
-per output file: ``identical`` when the bytes agree, otherwise the largest
-|delta| over the numeric cells (and ``text differs`` when a non-numeric
-cell does). Manifests are compared without their ``duration_seconds``
-line. The commands are the default ``run-market``, the sweep-dense config
-(t_end 10 d, stride 0.05 d) over seeds 1-8, a run that fails on its step
-budget (t_end 5 d, max_steps 40, exit code 2) and the four ladder stages.
+per output file: ``identical`` when the bytes agree. Otherwise a table's
+``#`` comment lines and its data rows are compared apart: a changed set of
+comment lines reads ``comment lines +<gained> -<lost>``, and the data rows
+read ``data rows identical``, ``data rows <count> -> <count>``, or the
+largest |delta| over the numeric cells (and ``text differs`` when a
+non-numeric cell does). Manifests are compared without their
+``duration_seconds`` line. The commands are the default ``run-market``,
+the sweep-dense config (t_end 10 d, stride 0.05 d) over seeds 1-8, a run
+that fails on its step budget (t_end 5 d, max_steps 40, exit code 2) and
+the four ladder stages.
 
     python3 scripts/compare_artifacts.py --parent ../parent --change .
 
 The exit code is 0 when every data file is identical and every manifest
-differs at most in ``duration_seconds``, and 1 otherwise.
+differs at most in ``duration_seconds``, and 1 otherwise, so a data file
+that gained only comment lines also exits 1.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -67,6 +73,40 @@ def cell_delta(a: str, b: str):
     return 0.0 if x == y else abs(x - y)
 
 
+def split_comments(text: str) -> tuple:
+    """(comment lines, data rows) of a table: comment lines start with ``#``."""
+    lines = text.splitlines()
+    return ([x for x in lines if x.startswith("#")],
+            [x for x in lines if not x.startswith("#")])
+
+
+def comment_verdict(lines_a: list, lines_b: list) -> str:
+    """``comment lines +gained -lost``, counting repeated lines as often as they occur."""
+    gained, lost = Counter(lines_b) - Counter(lines_a), Counter(lines_a) - Counter(lines_b)
+    return f"comment lines +{sum(gained.values())} -{sum(lost.values())}"
+
+
+def data_verdict(rows_a: list, rows_b: list) -> str:
+    """How the data rows of change's table differ from parent's."""
+    if rows_a == rows_b:
+        return "data rows identical"
+    if len(rows_a) != len(rows_b):
+        return f"data rows {len(rows_a)} -> {len(rows_b)}"
+    worst, text = 0.0, False
+    for row_a, row_b in zip(rows_a, rows_b):
+        cells_a, cells_b = row_a.split(","), row_b.split(",")
+        if len(cells_a) != len(cells_b):
+            text = True
+            continue
+        for x, y in zip(cells_a, cells_b):
+            delta = cell_delta(x, y)
+            if delta is None:
+                text = text or x != y
+            else:
+                worst = max(worst, delta)
+    return f"max |delta| {worst:.3g}" + (", text differs" if text else "")
+
+
 def compare_file(parent: Path, change: Path) -> tuple:
     """(verdict, same): how change's file differs from parent's."""
     for side, path in zip(SIDES, (parent, change)):
@@ -81,22 +121,11 @@ def compare_file(parent: Path, change: Path) -> tuple:
             return "identical without duration_seconds", True
         changed = [f"{x!r} -> {y!r}" for x, y in zip(lines_a, lines_b) if x != y]
         return "differs: " + "; ".join(changed or ["line count"]), False
-    rows_a, rows_b = (x.decode().splitlines() for x in (a, b))
-    if len(rows_a) != len(rows_b):
-        return f"differs: {len(rows_a)} -> {len(rows_b)} lines", False
-    worst, text = 0.0, False
-    for row_a, row_b in zip(rows_a, rows_b):
-        cells_a, cells_b = row_a.split(","), row_b.split(",")
-        if len(cells_a) != len(cells_b):
-            text = True
-            continue
-        for x, y in zip(cells_a, cells_b):
-            delta = cell_delta(x, y)
-            if delta is None:
-                text = text or x != y
-            else:
-                worst = max(worst, delta)
-    return f"max |delta| {worst:.3g}" + (", text differs" if text else ""), False
+    (notes_a, rows_a), (notes_b, rows_b) = (split_comments(x.decode()) for x in (a, b))
+    verdict = data_verdict(rows_a, rows_b)
+    if notes_a != notes_b:
+        verdict = f"{comment_verdict(notes_a, notes_b)}, {verdict}"
+    return verdict, False
 
 
 def main(argv=None) -> int:

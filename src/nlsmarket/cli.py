@@ -63,6 +63,8 @@ MARKET_FILES = (
 
 # CSV tables are built and written this many snapshot rows at a time
 ROW_BLOCK = 64
+# the text of every market table value, node label and manifest step size
+FLOAT_FORMAT = "%.17g"
 
 
 # ----------------------------------------------------------------------
@@ -140,7 +142,7 @@ def config_pairs(config: ModelConfig) -> List[Tuple[str, object]]:
 
 
 def _fmt(x) -> str:
-    return format(float(x), ".17g")
+    return FLOAT_FORMAT % float(x)
 
 
 class OutputSet:
@@ -195,11 +197,11 @@ class OutputSet:
 def write_table(files: OutputSet, name: str, schema: str, header: Sequence[str], blocks,
                 comments=()) -> None:
     """Stage one CSV table of float rows, given as an iterable of row
-    blocks and streamed one block at a time. Each value is written as
-    "%.17g", the same text as _fmt gives a float.
+    blocks and streamed one block at a time. Each value is written in
+    FLOAT_FORMAT, the same text as _fmt gives a float.
     """
     head = [f"# schema={schema}", *(f"# {c}" for c in comments), ",".join(header)]
-    row_format = ",".join(["%.17g"] * len(header)) + "\n"
+    row_format = ",".join([FLOAT_FORMAT] * len(header)) + "\n"
 
     def pieces():
         yield "\n".join(head) + "\n"
@@ -421,8 +423,8 @@ def run_ladder(stage: str, outdir: Path) -> int:
     with OutputSet(outdir) as files:
         files.write(f"ladder_{stage}.csv", ["\n".join(lines) + "\n"])
 
-    # the metrics at the last tolerance of the ladder decide the exit code
-    failed = [(name, value, where) for name, value, where in metrics if not value <= gate]
+    # the exit code is the gate at the tightest tolerance, the last of TOLERANCES
+    failed = [(name, value, where) for name, value, where in results[-1][0] if not value <= gate]
     for name, value, where in failed:
         print(f"stage {stage}: {name}={value:.6g} exceeds {gate:g} at {where}", file=sys.stderr)
     return 3 if failed else 0

@@ -12,21 +12,15 @@ from .errors import ConfigError
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform 1-D grid of n nodes over the price interval [s0, s1]."""
+    """Uniform grid of n nodes s_k over [s0, s1], spacing ds, built by make_grid with the
+    stencil coefficients half_per_ds2 = 0.5 / ds**2 (the ladder's heat term) and
+    half_nodes_sq_per_ds2 = s_k**2 * half_per_ds2 (the market's); its arrays are read-only."""
 
     n: int
     ds: float
     nodes: np.ndarray
-
-    def __post_init__(self):
-        self.nodes.setflags(write=False)
-
-    @cached_property
-    def half_nodes_sq_per_ds2(self) -> np.ndarray:
-        """s_k**2 / (2 ds**2) at every node, computed once per grid (read-only)."""
-        values = self.nodes**2 * (0.5 / self.ds**2)
-        values.setflags(write=False)
-        return values
+    half_per_ds2: float
+    half_nodes_sq_per_ds2: np.ndarray
 
     @cached_property
     def wrap_index(self) -> np.ndarray:
@@ -49,20 +43,23 @@ def make_grid(s0: float, s1: float, n: int) -> Grid:
     ds = (s1 - s0) / (n - 1)
     with np.errstate(all="ignore"):
         nodes = np.linspace(float(s0), float(s1), int(n))
-        try:  # formed as heat_rhs and Grid.half_nodes_sq_per_ds2 form them
-            finite = np.isfinite(nodes**2 * (0.5 / ds**2)).all()
-        except (OverflowError, ZeroDivisionError):
-            finite = False
-    if not finite:
+        try:
+            half_per_ds2 = 0.5 / ds**2
+        except (OverflowError, ZeroDivisionError):  # ds**2 left the float range: refused
+            half_per_ds2 = np.inf
+        half_nodes_sq_per_ds2 = nodes**2 * half_per_ds2
+    if not np.isfinite(half_nodes_sq_per_ds2).all():
         raise ConfigError(
             f"price bounds [{s0}, {s1}] at n={n} give a non-finite stencil coefficient")
-    return Grid(n=int(n), ds=ds, nodes=nodes)
+    nodes.setflags(write=False)
+    half_nodes_sq_per_ds2.setflags(write=False)
+    return Grid(int(n), ds, nodes, half_per_ds2, half_nodes_sq_per_ds2)
 
 
 def second_difference(field: np.ndarray, grid: Grid) -> np.ndarray:
     """Periodic undivided second difference f[k+1] - 2 f[k] + f[k-1].
 
-    Callers own the 1/ds**2 and fold it into the coefficient they apply.
+    Callers apply the 1/ds**2 as the grid's stored half_per_ds2 or half_nodes_sq_per_ds2.
     Neighbour indices wrap modulo n. For equal end values this makes the
     time derivative at both ends identical by construction, which is how
     the repeatable boundary condition of the coupled market model is

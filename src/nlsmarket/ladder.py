@@ -45,7 +45,7 @@ def unpack_complex(vec: np.ndarray) -> np.ndarray:
 def heat_rhs(field: np.ndarray, grid: Grid) -> np.ndarray:
     """Diffusion with coefficient one half: (1/2) d2f/dx2."""
     out = second_difference(field, grid)
-    out *= 0.5 / grid.ds**2
+    out *= grid.half_per_ds2
     return out
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,15 @@ def test_make_grid_thirty_lines():
     spacing = np.diff(g.nodes)
     assert np.all(spacing > 0)
     assert np.allclose(spacing, g.ds, rtol=1e-13)
+    # the stencil coefficients that heat_rhs and coupled_rhs apply, stored read-only
+    assert g.half_per_ds2 == 0.5 / g.ds**2
+    expected = g.nodes**2 * (0.5 / g.ds**2)
+    assert g.half_nodes_sq_per_ds2.tobytes() == expected.tobytes()
+    for name in ("nodes", "half_nodes_sq_per_ds2"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(g, name)[0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.half_per_ds2 = 1.0
 
 
 def test_make_grid_unit_spacing():

@@ -103,7 +103,11 @@ MANIFEST = "status: completed\nduration_seconds: 1.25\nseed: 42\n"
      "differs: 'seed: 42' -> 'seed: 43'", False),
     ("t.csv", TABLE, TABLE.replace("0,1.0", "0,1.5"), "max |delta| 0.5", False),
     ("t.csv", TABLE, TABLE.replace("t,x", "t,y"), "max |delta| 0, text differs", False),
-    ("t.csv", TABLE, TABLE + "2,3.0\n", "differs: 4 -> 5 lines", False),
+    ("t.csv", TABLE, TABLE + "2,3.0\n", "data rows 3 -> 4", False),
+    ("t.csv", TABLE, TABLE.replace("t,x", "# a=1\n# b=2\nt,x"),
+     "comment lines +2 -0, data rows identical", False),
+    ("t.csv", TABLE, TABLE.replace("demo.v1", "demo.v2").replace("0,1.0", "0,1.5"),
+     "comment lines +1 -1, max |delta| 0.5", False),
     ("t.csv", None, TABLE, "missing in parent", False),
     ("t.csv", TABLE, None, "missing in change", False),
 ])
