@@ -194,18 +194,23 @@ class OutputSet:
                 tmp.unlink(missing_ok=True)
 
 
-def write_table(files: OutputSet, name: str, schema: str, header: Sequence[str], blocks,
-                comments=()) -> None:
-    """Stage one CSV table of float rows, given as an iterable of row
-    blocks and streamed one block at a time. Each value is written in
-    FLOAT_FORMAT, the same text as _fmt gives a float.
+def write_table(files: OutputSet, times: np.ndarray, name: str, schema: str,
+                header: Sequence[str], columns, comments=()) -> None:
+    """Stage one CSV table with one row of floats per snapshot: its time
+    in ``times``, then its values, which ``columns(b)`` gives as columns
+    for the snapshots in slice b. The rows are built and written ROW_BLOCK
+    snapshots at a time, so no table is held whole. Each value is written
+    in FLOAT_FORMAT, the same text as _fmt gives a float.
     """
     head = [f"# schema={schema}", *(f"# {c}" for c in comments), ",".join(header)]
     row_format = ",".join([FLOAT_FORMAT] * len(header)) + "\n"
 
     def pieces():
         yield "\n".join(head) + "\n"
-        for block in blocks:
+        for i in range(0, len(times), ROW_BLOCK):
+            b = slice(i, i + ROW_BLOCK)
+            # tolist() hands "%" exact Python floats
+            block = np.column_stack((times[b], *columns(b))).tolist()
             yield "".join([row_format % tuple(row) for row in block])
 
     files.write(name, pieces())
@@ -216,14 +221,7 @@ def write_market_outputs(rec: SimulationRecord, files: OutputSet) -> None:
     n = rec.config.n
     grid = make_grid(rec.config.s0, rec.config.s1, n)
     node_comment = "nodes=" + ",".join(_fmt(s) for s in grid.nodes)
-    t = rec.times
-
-    def table(name, schema, header, columns, comments=()):
-        # one float row per snapshot, built ROW_BLOCK rows b at a time from
-        # columns(b), their value columns; tolist() hands "%" exact Python floats
-        slices = (slice(i, i + ROW_BLOCK) for i in range(0, len(t), ROW_BLOCK))
-        blocks = (np.column_stack((t[b], *columns(b))).tolist() for b in slices)
-        write_table(files, name, schema, header, blocks, comments)
+    table = functools.partial(write_table, files, rec.times)
 
     surface_header = ["t"] + [_fmt(s) for s in grid.nodes]
     psi_pdf = lambda b: np.abs(rec.psi[b]) ** 2
@@ -277,7 +275,6 @@ def write_manifest(files: OutputSet, rec: SimulationRecord, status: str, duratio
 
 def run_market(config: ModelConfig, outdir: Path) -> int:
     """Run the coupled simulation and export all artifacts."""
-    outdir = Path(outdir)
     started = time.perf_counter()
     try:
         rec = run_simulation(config)

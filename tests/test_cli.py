@@ -27,6 +27,7 @@ from nlsmarket.cli import (
     build_parser,
     config_from_values,
     config_pairs,
+    load_config,
     main,
     parse_config_text,
     run_ladder,
@@ -54,6 +55,7 @@ def test_parse_config_text():
     assert values == {"n": 12, "t_end": 3.5, "seed": 9}
     cfg = config_from_values(values)
     assert cfg.n == 12 and cfg.t_end == 3.5 and cfg.seed == 9
+    assert load_config(None) == ModelConfig()
 
 
 # finite and positive, from subnormal to near the top of the float range
@@ -176,12 +178,13 @@ def test_run_market_artifacts(tmp_path):
 EDGE_VALUES = [-0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 1 / 3, 1e22]
 
 
-@pytest.mark.parametrize("kind", [float, np.float64])
-def test_write_table_matches_per_value_fmt(kind, tmp_path):
-    rows = [[kind(x) for x in EDGE_VALUES], [kind(-x) for x in reversed(EDGE_VALUES)]]
+def test_write_table_matches_per_value_fmt(tmp_path):
+    rows = [EDGE_VALUES, [-x for x in reversed(EDGE_VALUES)]]
+    table = np.array(rows)
     header = [f"c{i}" for i in range(len(EDGE_VALUES))]
     with OutputSet(tmp_path) as files:
-        write_table(files, "t.csv", "demo.v1", header, [rows], comments=["note"])
+        write_table(files, table[:, 0], "t.csv", "demo.v1", header,
+                    lambda b: [table[b, 1:]], comments=["note"])
     digest = files.digests["t.csv"]
     expected = "# schema=demo.v1\n# note\n" + ",".join(header) + "\n"
     expected += "".join(",".join(_fmt(x) for x in row) + "\n" for row in rows)
@@ -470,15 +473,35 @@ def test_ladder_report_counts_the_steps_of_each_tolerance(stage, tmp_path, monke
     assert [l for l in report if l.startswith("# tolerance=")] == expected
 
 
-def test_ladder_gate_override_forces_failure(tmp_path, capsys, monkeypatch):
-    # a heat gate below the stage's 5.5e-5 error fails the stage
-    runner, _ = STAGES["heat"]
-    monkeypatch.setitem(STAGES, "heat", (runner, 1e-6))
-    rc = main(["run-ladder", "--stage", "heat", "--out", str(tmp_path)])
-    assert rc == 3
-    err = capsys.readouterr().err
-    assert "max_error" in err and "x=" in err  # failure names the location
-    assert ",1e-06,false," in (tmp_path / "ladder_heat.csv").read_text()
+def _stub_stage(*values):
+    """A runner whose one metric reads values[i] at the i-th tolerance."""
+    return lambda tolerances: [([("err", v, "x=0")], StepStats()) for v in values]
+
+
+@pytest.mark.parametrize("runner, gate, code, passed, error", [
+    # a heat gate below the stage's 5.5e-5 error fails it at both tolerances
+    pytest.param(STAGES["heat"][0], 1e-6, 3, ["false", "false"],
+                 r"stage heat: max_error=\S+ exceeds 1e-06 at x=\S+", id="heat-fails-both"),
+    # only the tightest tolerance, the last of TOLERANCES, decides the exit code
+    pytest.param(_stub_stage(2.0, 0.5), 1.0, 0, ["false", "true"], None,
+                 id="loose-fails-tight-passes"),
+    pytest.param(_stub_stage(0.5, 2.0), 1.0, 3, ["true", "false"],
+                 r"stage heat: err=2 exceeds 1 at x=0", id="loose-passes-tight-fails"),
+])
+def test_ladder_exit_code_is_the_gate_at_the_tightest_tolerance(
+        runner, gate, code, passed, error, tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(STAGES, "heat", (runner, gate))
+    assert main(["run-ladder", "--stage", "heat", "--out", str(tmp_path)]) == code
+    err = capsys.readouterr().err.splitlines()
+    if error is None:
+        assert err == []
+    else:
+        assert len(err) == 1 and re.fullmatch(error, err[0])
+    rows = [l.split(",") for l in (tmp_path / "ladder_heat.csv").read_text().splitlines()
+            if not l.startswith("#")][1:]
+    assert [row[0] for row in rows] == [f"{tol:.10g}" for tol in TOLERANCES]
+    assert [row[3] for row in rows] == [f"{gate:.10g}"] * len(TOLERANCES)
+    assert [row[4] for row in rows] == passed
 
 
 def test_run_ladder_rejects_an_unknown_stage(tmp_path):
